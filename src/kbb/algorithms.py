@@ -13,18 +13,19 @@ import time
 import numpy as np
 
 from . import envs
-from .envs import ArchModel, Dataset, LqrModel, NonlinearModel, nonlinear_to_z, sample_transitions
+from .envs import ArchModel, LqrModel, NonlinearModel, nonlinear_to_z, sample_transitions
 from .lstd import (
     DUPLICATE_CORRELATION,
     MIN_BASIS_NORM,
     BasisSet,
+    lstd_system,
     solve_linear_system,
     span_correlation,
 )
-from .mrp import TabularModel, mu_norm, stationary_distribution
+from .mrp import TabularModel, bellman_apply, mu_norm, solve_exact, stationary_distribution
 from .records import RunRecord
-from .regression import RegressorConfig, fit
-from .values import ConstantValueFn, QuadraticValueFn, ScaledValueFn
+from .regression import RegressorConfig, backup_targets, fit
+from .values import ConstantValueFn, QuadraticValueFn, ScaledValueFn, TableValueFn
 
 __all__ = [
     "IterationBudget",
@@ -33,6 +34,7 @@ __all__ = [
     "run_vi",
     "run_fvi",
     "run_kbb",
+    "oracle_kbb",
     "derive_seed",
 ]
 
@@ -118,9 +120,6 @@ def evaluate_error(v, truth, env, n_eval: int = 10_000, seed: int = 0) -> float:
 
 
 def _vi_iterates_tabular(model: TabularModel, max_iters: int):
-    from .mrp import bellman_apply
-    from .values import TableValueFn
-
     v = np.zeros(model.n_states)
     for _ in range(max_iters):
         v = bellman_apply(model, v)
@@ -152,6 +151,22 @@ def _vi_iterates_arch(model: ArchModel, max_iters: int):
         yield QuadraticValueFn(p, offset=const)
 
 
+def _start_run(algo: str, env, truth, n_eval: int, eval_seed: int, config_hash: str, seeds: list,
+               **meta):
+    """Error evaluator and empty record of a run, scored from the zero function."""
+    if truth is None:
+        truth = envs.true_value(env)
+    evaluator = ErrorEvaluator(env, truth, n_eval=n_eval, seed=eval_seed)
+    record = RunRecord(
+        algo=algo,
+        initial_error=evaluator(ConstantValueFn(0.0)),
+        config_hash=config_hash,
+        seeds=seeds,
+        meta={"env": envs.env_params(env), **meta, "eval": {"n_eval": n_eval, "seed": eval_seed}},
+    )
+    return evaluator, record
+
+
 def run_vi(env, max_iters: int, truth=None, n_eval: int = 10_000, eval_seed: int = 0,
            config_hash: str = "") -> RunRecord:
     """Exact value iteration from the zero function.
@@ -160,9 +175,7 @@ def run_vi(env, max_iters: int, truth=None, n_eval: int = 10_000, eval_seed: int
     use their closed-form quadratic recursions (the nonlinear model through
     its inner linear system).  VI consumes no samples.
     """
-    if truth is None:
-        truth = envs.true_value(env)
-    evaluator = ErrorEvaluator(env, truth, n_eval=n_eval, seed=eval_seed)
+    evaluator, record = _start_run("vi", env, truth, n_eval, eval_seed, config_hash, [])
     if isinstance(env, TabularModel):
         iterates = _vi_iterates_tabular(env, max_iters)
     elif isinstance(env, LqrModel):
@@ -173,13 +186,6 @@ def run_vi(env, max_iters: int, truth=None, n_eval: int = 10_000, eval_seed: int
         iterates = _vi_iterates_arch(env, max_iters)
     else:
         raise ValueError(f"exact value iteration unsupported for {type(env).__name__}")
-    record = RunRecord(
-        algo="vi",
-        initial_error=evaluator(ConstantValueFn(0.0)),
-        config_hash=config_hash,
-        seeds=[],
-        meta={"env": envs.env_params(env), "eval": {"n_eval": n_eval, "seed": eval_seed}},
-    )
     for t, v in enumerate(iterates, start=1):
         t0 = time.perf_counter()
         err = evaluator(v)
@@ -197,22 +203,9 @@ def run_fvi(env, regressor_config: RegressorConfig, budget: IterationBudget, tru
             seed: int = 0, n_eval: int = 10_000, eval_seed: int = 0,
             config_hash: str = "") -> RunRecord:
     """Fitted value iteration: regress the sampled backup r + gamma v(x')."""
-    if truth is None:
-        truth = envs.true_value(env)
     gamma = _gamma_of(env)
-    evaluator = ErrorEvaluator(env, truth, n_eval=n_eval, seed=eval_seed)
-    record = RunRecord(
-        algo="fvi",
-        initial_error=evaluator(ConstantValueFn(0.0)),
-        config_hash=config_hash,
-        seeds=[seed],
-        meta={
-            "env": envs.env_params(env),
-            "budget": budget.__dict__,
-            "regressor": regressor_config.__dict__,
-            "eval": {"n_eval": n_eval, "seed": eval_seed},
-        },
-    )
+    evaluator, record = _start_run("fvi", env, truth, n_eval, eval_seed, config_hash, [seed],
+                                   budget=budget.__dict__, regressor=regressor_config.__dict__)
     v = ConstantValueFn(0.0)
     cum = 0
     for t in range(budget.max_iters):
@@ -220,7 +213,7 @@ def run_fvi(env, regressor_config: RegressorConfig, budget: IterationBudget, tru
         n_t = budget.n_at(t)
         data = sample_transitions(env, n_t, derive_seed(seed, t, _REG_STREAM))
         cum += n_t
-        targets = data.rewards + gamma * v(data.next_states)
+        targets = backup_targets(v, data, gamma)
         v = fit((data.states, targets), regressor_config, derive_seed(seed, t, _FIT_STREAM))
         err = evaluator(v)
         wall = (time.perf_counter() - t0) * 1e3
@@ -233,103 +226,118 @@ def run_fvi(env, regressor_config: RegressorConfig, budget: IterationBudget, tru
 # ---------------------------------------------------------------------------
 
 
-class _BasisCache:
-    """Basis evaluations on a fixed set of states, grown one column at a time."""
+def _norm(col: np.ndarray, weights) -> float:
+    """RMS of a column under the sample mean, or its norm under ``weights``."""
+    if weights is None:
+        return float(np.sqrt(np.mean(col**2)))
+    return float(np.sqrt(np.sum(weights * col * col)))
 
-    def __init__(self, states):
-        self.states = states
-        self.columns = []
 
-    def append(self, fn):
-        self.columns.append(fn(self.states))
+def _kbb_loop(record: RunRecord, max_iters: int, gamma: float, draw, regress, eval_states, error_of,
+              lstd_draw=None, weights=None, trace: list | None = None) -> RunRecord:
+    """The Krylov-Bellman boosting iteration, for sampled and exact runs alike.
 
-    def matrix(self) -> np.ndarray:
-        if not self.columns:
-            return np.zeros((self.states.shape[0], 0))
-        return np.column_stack(self.columns)
+    ``draw(t)`` gives (states, rewards, next_features, samples drawn), with
+    ``next_features(basis)`` the basis's expected next-state values per row;
+    LSTD reuses it unless ``lstd_draw`` gives an independent draw.
+    ``regress(t, states, targets)`` fits the Bellman residual.  ``weights``
+    (None: sample mean) define the inner product of the guard and of LSTD.
+    Accepted fits enter the basis at unit norm (LSTD coefficients absorb the
+    scale); a vanishing or near-duplicate fit is rejected, the basis stays,
+    LSTD is still re-solved and the iteration joins ``rejected_iters``.
+    ``trace`` collects (values on ``eval_states``, basis size) per iterate.
+    """
+    basis = BasisSet()
+    coeffs = np.zeros(0)
+    eval_phi = basis.evaluate(eval_states)
+    rejected: list[int] = []
+    cum, ridge = 0, 0.0
+    if trace is not None:
+        trace.append((eval_phi @ coeffs, 0))
+    for t in range(max_iters):
+        t0 = time.perf_counter()
+        states, rewards, next_features, n_drawn = draw(t)
+        cum += n_drawn
+        phi = basis.evaluate(states)
+        phi_next = next_features(basis)
+        # Residual targets of the current iterate v_t = basis @ coeffs.
+        targets = phi @ coeffs - (rewards + gamma * (phi_next @ coeffs))
+        new_fn = regress(t, states, targets)
+        new_col = new_fn(states)
+        nrm = _norm(new_col, weights)
+        if nrm >= MIN_BASIS_NORM and span_correlation(phi, new_col, weights) <= DUPLICATE_CORRELATION:
+            scaled = ScaledValueFn(new_fn, 1.0 / nrm)
+            basis.append(scaled)
+            phi = np.column_stack([phi, new_col / nrm])
+            phi_next = np.column_stack([phi_next, next_features(BasisSet([new_fn])) / nrm])
+            eval_phi = np.column_stack([eval_phi, scaled(eval_states)])
+        else:
+            rejected.append(t + 1)
+        if lstd_draw is not None:
+            states, rewards, next_features, n_drawn = lstd_draw(t)
+            cum += n_drawn
+            phi, phi_next = basis.evaluate(states), next_features(basis)
+        if len(basis) > 0:
+            sol = solve_linear_system(*lstd_system(phi, phi_next, rewards, gamma, weights))
+            coeffs, ridge = sol.coeffs, sol.ridge_used
+        values = eval_phi @ coeffs
+        if trace is not None:
+            trace.append((values, len(basis)))
+        err = error_of(values)
+        wall = (time.perf_counter() - t0) * 1e3
+        record.add_row(iter=t + 1, cum_samples=cum, mu_error=err, ridge_used=ridge, wall_ms=wall)
+    record.meta["rejected_iters"] = rejected
+    return record
 
 
 def run_kbb(env, regressor_config: RegressorConfig, budget: IterationBudget, truth=None,
             seed: int = 0, n_eval: int = 10_000, eval_seed: int = 0,
             config_hash: str = "") -> RunRecord:
-    """Krylov-Bellman boosting.
+    """Krylov-Bellman boosting on sampled transitions.
 
     Each iteration fits the sampled Bellman residual of the current iterate,
     appends the fit to the basis (after a degeneracy guard), re-solves the
-    LSTD system over the grown basis, and takes the LSTD combination as the
-    next iterate.  Accepted basis functions are normalized to unit empirical
-    RMS before entering the basis; LSTD coefficients absorb the scale, so
-    iterates are unchanged while the system stays well-conditioned.
-
-    A guard rejection leaves the basis as-is; the iteration still re-solves
-    LSTD on the fresh dataset and the row is flagged in the run metadata.
+    empirical LSTD system over the grown basis, and takes the LSTD
+    combination as the next iterate (see ``_kbb_loop``).
     """
-    if truth is None:
-        truth = envs.true_value(env)
-    gamma = _gamma_of(env)
-    evaluator = ErrorEvaluator(env, truth, n_eval=n_eval, seed=eval_seed)
+    evaluator, record = _start_run("kbb", env, truth, n_eval, eval_seed, config_hash, [seed],
+                                   budget=budget.__dict__, regressor=regressor_config.__dict__)
+
+    def draw_from(stream):
+        def draw(t):
+            n_t = budget.n_at(t)
+            data = sample_transitions(env, n_t, derive_seed(seed, t, stream))
+            return data.states, data.rewards, lambda basis: basis.evaluate(data.next_states), n_t
+        return draw
+
+    def regress(t, states, targets):
+        return fit((states, targets), regressor_config, derive_seed(seed, t, _FIT_STREAM))
+
+    return _kbb_loop(record, budget.max_iters, _gamma_of(env), draw_from(_REG_STREAM), regress,
+                     evaluator.states, evaluator.error_of_values,
+                     lstd_draw=None if budget.shared_data else draw_from(_LSTD_STREAM))
+
+
+def oracle_kbb(model: TabularModel, max_iters: int, _trace: list | None = None) -> RunRecord:
+    """Noise-free run of the KBB loop: exact residuals and population LSTD.
+
+    Every state is drawn once with its stationary weight and the next-state
+    features are exact expectations P phi, so the residual "fit" is the
+    exact Bellman residual and LSTD is the mu-weighted population system.
+    ``_trace`` collects (iterate, basis size) from the zero start on.
+    """
+    mu = stationary_distribution(model)
+    v_star = solve_exact(model)
     record = RunRecord(
         algo="kbb",
-        initial_error=evaluator(ConstantValueFn(0.0)),
-        config_hash=config_hash,
-        seeds=[seed],
-        meta={
-            "env": envs.env_params(env),
-            "budget": budget.__dict__,
-            "regressor": regressor_config.__dict__,
-            "eval": {"n_eval": n_eval, "seed": eval_seed},
-        },
+        initial_error=mu_norm(v_star, mu),
+        seeds=[],
+        meta={"oracle": True, "env": {"kind": "tabular", "n_states": model.n_states, "gamma": model.gamma}},
     )
-    basis = BasisSet()
-    coeffs = np.zeros(0)
-    eval_cache = _BasisCache(evaluator.states)
-    rejected: list[int] = []
-    cum = 0
-    for t in range(budget.max_iters):
-        t0 = time.perf_counter()
-        n_t = budget.n_at(t)
-        reg_data = sample_transitions(env, n_t, derive_seed(seed, t, _REG_STREAM))
-        cum += n_t
-        phi = basis.evaluate(reg_data.states)
-        phi_next = basis.evaluate(reg_data.next_states)
-        # Residual targets of the current iterate v_t = basis @ coeffs.
-        v_states = phi @ coeffs
-        v_next = phi_next @ coeffs
-        targets = v_states - (reg_data.rewards + gamma * v_next)
-        new_fn = fit((reg_data.states, targets), regressor_config, derive_seed(seed, t, _FIT_STREAM))
-        new_col = new_fn(reg_data.states)
-        rms = float(np.sqrt(np.mean(new_col**2)))
-        accept = rms >= MIN_BASIS_NORM and span_correlation(phi, new_col) <= DUPLICATE_CORRELATION
-        if accept:
-            scaled = ScaledValueFn(new_fn, 1.0 / rms)
-            basis.append(scaled)
-            phi = np.column_stack([phi, new_col / rms]) if phi.size else (new_col / rms).reshape(-1, 1)
-            phi_next = (
-                np.column_stack([phi_next, new_fn(reg_data.next_states) / rms])
-                if phi_next.size
-                else (new_fn(reg_data.next_states) / rms).reshape(-1, 1)
-            )
-            eval_cache.append(scaled)
-        else:
-            rejected.append(t + 1)
-        ridge = 0.0
-        if budget.shared_data:
-            lstd_phi, lstd_phi_next, lstd_rewards = phi, phi_next, reg_data.rewards
-        else:
-            lstd_data = sample_transitions(env, n_t, derive_seed(seed, t, _LSTD_STREAM))
-            cum += n_t
-            lstd_phi = basis.evaluate(lstd_data.states)
-            lstd_phi_next = basis.evaluate(lstd_data.next_states)
-            lstd_rewards = lstd_data.rewards
-        if len(basis) > 0:
-            n = float(lstd_phi.shape[0])
-            a = lstd_phi.T @ (lstd_phi - gamma * lstd_phi_next) / n
-            b = lstd_phi.T @ lstd_rewards / n
-            sol = solve_linear_system(a, b)
-            coeffs = sol.coeffs
-            ridge = sol.ridge_used
-        err = evaluator.error_of_values(eval_cache.matrix() @ coeffs)
-        wall = (time.perf_counter() - t0) * 1e3
-        record.add_row(iter=t + 1, cum_samples=cum, mu_error=err, ridge_used=ridge, wall_ms=wall)
-    record.meta["rejected_iters"] = rejected
-    return record
+    states = np.arange(model.n_states)
+
+    def draw(t):
+        return states, model.reward, lambda basis: model.trans @ basis.evaluate(states), 0
+
+    return _kbb_loop(record, max_iters, model.gamma, draw, lambda t, s, targets: TableValueFn(targets),
+                     states, lambda values: mu_norm(values - v_star, mu), weights=mu.weights, trace=_trace)

@@ -62,9 +62,9 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> Path:
     the partial results stay on disk with status "failed".
     """
     cfg = ExperimentConfig.from_file(config_path)
+    env = build_env(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    env = build_env(cfg)
     jobs = [(algo, seed) for algo in cfg.algos for seed in cfg.seeds]
     manifest = {
         "library_version": __version__,
@@ -97,9 +97,15 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> Path:
 
 
 def _write_manifest(out: Path, manifest: dict):
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write manifest.json atomically: a temporary file, then a rename over it."""
+    tmp = out / "manifest.json.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, out / "manifest.json")
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_dir(run_dir) -> dict:

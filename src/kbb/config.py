@@ -139,14 +139,17 @@ class ExperimentConfig:
         for a in algos:
             if a not in ALGOS:
                 raise ConfigError(f"algos: unknown algorithm {a!r}")
-        seeds = [int(s) for s in _get(kv, "seeds", _to_list, required=True)]
+        seeds = _get(kv, "seeds", lambda s: [int(x) for x in _to_list(s)], required=True)
 
-        budget = IterationBudget(
-            n_per_iter=_get(kv, "budget.n_per_iter", int, default=10_000),
-            max_iters=_get(kv, "budget.max_iters", int, required=True),
-            first_iter_multiplier=_get(kv, "budget.first_iter_multiplier", int, default=4),
-            shared_data=_get(kv, "budget.shared_data", _to_bool, default=True),
-        )
+        try:
+            budget = IterationBudget(
+                n_per_iter=_get(kv, "budget.n_per_iter", int, default=10_000),
+                max_iters=_get(kv, "budget.max_iters", int, required=True),
+                first_iter_multiplier=_get(kv, "budget.first_iter_multiplier", int, default=4),
+                shared_data=_get(kv, "budget.shared_data", _to_bool, default=True),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"budget: {exc}") from exc
         try:
             regressor = RegressorConfig(
                 kind=_get(kv, "regressor.kind", str, default="boosted_trees"),
@@ -204,16 +207,20 @@ class ExperimentConfig:
 
 
 def build_env(config: ExperimentConfig):
-    """Instantiate the benchmark model named by the config."""
+    """Instantiate the benchmark model named by the config; values the model
+    rejects (say gamma = 1.5) raise ConfigError."""
     kind, args = config.env_kind, config.env_args
-    if kind == "random_tabular":
-        return envs.make_random_tabular(args["n"], args["gamma"], args["seed"])
-    if kind == "circular":
-        return envs.make_circular_walk(args["n"], args["gamma"], args["seed"])
-    if kind == "lqr":
-        return envs.make_lqr(args["d"], args["m"], args["gamma"], args["seed"])
-    if kind == "nonlinear":
-        return envs.make_nonlinear(args["gamma"], args["seed"])
-    if kind == "arch":
-        return envs.make_arch(args["d"], args["q"], args["gamma"], args["seed"])
+    try:
+        if kind == "random_tabular":
+            return envs.make_random_tabular(args["n"], args["gamma"], args["seed"])
+        if kind == "circular":
+            return envs.make_circular_walk(args["n"], args["gamma"], args["seed"])
+        if kind == "lqr":
+            return envs.make_lqr(args["d"], args["m"], args["gamma"], args["seed"])
+        if kind == "nonlinear":
+            return envs.make_nonlinear(args["gamma"], args["seed"])
+        if kind == "arch":
+            return envs.make_arch(args["d"], args["q"], args["gamma"], args["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"env: {exc}") from exc
     raise ConfigError(f"env.kind: unknown environment kind {kind!r}")

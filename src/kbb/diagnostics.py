@@ -3,8 +3,9 @@
 Everything here works on dense tabular models: the discount operator
 Q = I - gamma P together with its mu-weighted inner product, orthonormal
 Krylov bases of span{r, Qr, Q^2 r, ...}, the spectral values of Q restricted
-to the orthogonal complement of a subspace, a noise-free run of the boosted
-evaluation loop, and the per-iteration contraction certificate it implies.
+to the orthogonal complement of a subspace, and the per-iteration
+contraction certificate of the noise-free boosted loop (``oracle_kbb``, which
+runs the KBB iteration of ``algorithms`` and is re-exported here).
 """
 
 from __future__ import annotations
@@ -14,18 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lstd import DUPLICATE_CORRELATION, MIN_BASIS_NORM, BasisSet, lstd_solve_population
+from .algorithms import oracle_kbb
+from .lstd import BasisSet
 from .mrp import (
     Distribution,
     TabularModel,
-    bellman_residual,
     is_reversible,
     mu_dot,
     mu_norm,
     solve_exact,
     stationary_distribution,
 )
-from .records import RunRecord
 from .values import TableValueFn
 
 __all__ = [
@@ -130,16 +130,10 @@ def krylov_basis(qop: QOperator, depth: int) -> BasisSet:
     return BasisSet([TableValueFn(v) for v in vecs])
 
 
-def _basis_matrix(basis: BasisSet, n: int) -> np.ndarray:
-    if len(basis) == 0:
-        return np.zeros((n, 0))
-    return basis.evaluate(np.arange(n))
-
-
 def krylov_projection_solution(qop: QOperator, depth: int) -> np.ndarray:
     """Galerkin solution in the Krylov space: r - Q x_hat is mu-orthogonal to it."""
     basis = krylov_basis(qop, depth)
-    b_mat = _basis_matrix(basis, qop.n_states)
+    b_mat = basis.evaluate(np.arange(qop.n_states))
     if b_mat.shape[1] == 0:
         return np.zeros(qop.n_states)
     d = qop.mu.weights[:, None]
@@ -158,7 +152,7 @@ def _complement_basis(qop: QOperator, basis: BasisSet) -> np.ndarray:
     w = np.sqrt(qop.mu.weights)
     if w.min() <= 0.0:
         raise ValueError("stationary distribution must have full support")
-    phi = _basis_matrix(basis, n)
+    phi = basis.evaluate(np.arange(n))
     if phi.shape[1] == 0:
         comp_w = np.eye(n)
     else:
@@ -198,68 +192,6 @@ def restricted_spectral_values(qop: QOperator, basis: BasisSet) -> SpectralPair:
 def theorem_bound(pair: SpectralPair) -> float:
     """Per-iteration squared-error contraction bound 1 - mineig^2 / (8 maxeig)."""
     return 1.0 - pair.mineig**2 / (8.0 * pair.maxeig)
-
-
-def oracle_kbb(model: TabularModel, max_iters: int, _trace: list | None = None) -> RunRecord:
-    """Noise-free run: exact population residuals and population LSTD.
-
-    Residual vectors are normalized to unit mu-norm before joining the
-    basis (coefficients absorb the scale), and near-duplicate or vanishing
-    residuals are rejected, leaving the basis unchanged for that iteration.
-    """
-    mu = stationary_distribution(model)
-    v_star = solve_exact(model)
-    record = RunRecord(
-        algo="kbb",
-        initial_error=mu_norm(v_star, mu),
-        seeds=[],
-        meta={"oracle": True, "env": {"kind": "tabular", "n_states": model.n_states, "gamma": model.gamma}},
-    )
-    n = model.n_states
-    states = np.arange(n)
-    basis = BasisSet()
-    phi = np.zeros((n, 0))
-    v = np.zeros(n)
-    rejected: list[int] = []
-    if _trace is not None:
-        _trace.append((v.copy(), 0))
-    for t in range(max_iters):
-        resid = bellman_residual(model, v)
-        nrm = mu_norm(resid, mu)
-        corr = _mu_span_correlation(phi, resid, mu)
-        if nrm >= MIN_BASIS_NORM and corr <= DUPLICATE_CORRELATION:
-            basis.append(TableValueFn(resid / nrm))
-            phi = np.column_stack([phi, resid / nrm])
-        else:
-            rejected.append(t + 1)
-        if len(basis) > 0:
-            sol = lstd_solve_population(basis, model, mu)
-            v = phi @ sol.coeffs
-            ridge = sol.ridge_used
-        else:
-            ridge = 0.0
-        if _trace is not None:
-            _trace.append((v.copy(), len(basis)))
-        record.add_row(
-            iter=t + 1,
-            cum_samples=0,
-            mu_error=mu_norm(v - v_star, mu),
-            ridge_used=ridge,
-            wall_ms=0.0,
-        )
-    record.meta["rejected_iters"] = rejected
-    return record
-
-
-def _mu_span_correlation(phi: np.ndarray, vec: np.ndarray, mu: Distribution) -> float:
-    if phi.shape[1] == 0:
-        return 0.0
-    w = np.sqrt(mu.weights)
-    nrm = np.linalg.norm(w * vec)
-    if nrm == 0.0:
-        return 1.0
-    q, _ = np.linalg.qr(w[:, None] * phi)
-    return float(min(1.0, np.linalg.norm(q.T @ (w * vec)) / nrm))
 
 
 def check_theorem1_rate(model: TabularModel, max_iters: int) -> list[tuple[int, float, float]]:

@@ -25,6 +25,7 @@ __all__ = [
     "BasisSet",
     "LstdSolution",
     "build_lstd_system",
+    "lstd_system",
     "lstd_solve",
     "lstd_solve_population",
     "solve_linear_system",
@@ -135,20 +136,27 @@ def solve_linear_system(a: np.ndarray, b: np.ndarray) -> LstdSolution:
     raise RuntimeError("LSTD system unsolvable even with maximum ridge")
 
 
-def build_lstd_system(basis: BasisSet, data: Dataset, gamma: float):
-    """Assemble the empirical LSTD system (A, b) from transition samples.
+def lstd_system(phi: np.ndarray, phi_next: np.ndarray, rewards: np.ndarray, gamma: float,
+                weights=None):
+    """LSTD system (A, b) from features at states and at expected next states.
 
-    Accumulation is a fixed deterministic matrix product over the sample
-    axis, so identical inputs give identical floating-point outputs.
+    Rows are averaged (samples) or weighted by ``weights`` (population).  A
+    fixed matrix product over the rows makes the result deterministic.
     """
+    lhs = phi.T if weights is None else (weights[:, None] * phi).T
+    a = lhs @ (phi - gamma * phi_next)
+    b = lhs @ rewards
+    if weights is None:
+        n = float(phi.shape[0])
+        a, b = a / n, b / n
+    return a, b
+
+
+def build_lstd_system(basis: BasisSet, data: Dataset, gamma: float):
+    """Assemble the empirical LSTD system (A, b) from transition samples."""
     if len(basis) == 0:
         raise ValueError("basis must be nonempty")
-    phi = basis.evaluate(data.states)
-    phi_next = basis.evaluate(data.next_states)
-    n = float(len(data))
-    a = phi.T @ (phi - gamma * phi_next) / n
-    b = phi.T @ data.rewards / n
-    return a, b
+    return lstd_system(basis.evaluate(data.states), basis.evaluate(data.next_states), data.rewards, gamma)
 
 
 def lstd_solve(basis: BasisSet, data: Dataset, gamma: float) -> LstdSolution:
@@ -159,15 +167,8 @@ def lstd_solve(basis: BasisSet, data: Dataset, gamma: float) -> LstdSolution:
 
 def lstd_solve_population(basis: BasisSet, model: TabularModel, mu: Distribution) -> LstdSolution:
     """Population LSTD: expectations computed exactly from (P, r, mu)."""
-    if len(basis) == 0:
-        raise ValueError("basis must be nonempty")
-    states = np.arange(model.n_states)
-    phi = basis.evaluate(states)
-    # A_jk = sum_i mu_i phi_j(i) (phi_k(i) - gamma (P phi_k)(i))
-    d_phi = mu.weights[:, None] * phi
-    a = d_phi.T @ (phi - model.gamma * model.trans @ phi)
-    b = d_phi.T @ model.reward
-    return solve_linear_system(a, b)
+    phi = basis.evaluate(np.arange(model.n_states))
+    return solve_linear_system(*lstd_system(phi, model.trans @ phi, model.reward, model.gamma, mu.weights))
 
 
 def span_correlation(phi_matrix: np.ndarray, new_col: np.ndarray, weights=None) -> float:

@@ -126,14 +126,38 @@ class TestRunExperiment:
         for la, lb in zip(a, b):
             assert la.rsplit(",", 1)[0] == lb.rsplit(",", 1)[0]
 
-    def test_cli_exit_codes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value, named", [
+        ("env.kind", "fancy", "fancy"),
+        ("seeds", "1,x", "seeds"),
+        ("budget.n_per_iter", "0", "budget"),
+        ("env.gamma", "1.5", "gamma"),
+        ("env.n", "0", "circular walk"),
+    ], ids=["env.kind", "seeds", "budget.n_per_iter", "env.gamma", "env.n"])
+    def test_cli_exit_codes(self, tmp_path, capsys, key, value, named):
+        # an invalid value exits 2 before any output directory is created
+        lines = [ln for ln in MINIMAL_VI.format(out=tmp_path / "o").splitlines()
+                 if not ln.startswith(f"{key} =")]
         bad = tmp_path / "bad.txt"
-        bad.write_text(MINIMAL_VI.format(out=tmp_path / "o").replace("circular", "fancy"))
+        bad.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
         assert main(["run", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "fancy" in err
+        assert err.startswith("config error") and named in err
+        assert not (tmp_path / "o").exists()
         good = write_config(tmp_path, MINIMAL_VI)
         assert main(["run", str(good)]) == 0
+
+    def test_failed_manifest_write_leaves_no_partial_file(self, tmp_path):
+        from kbb.cli import _write_manifest
+
+        unserializable = {"status": "complete", "zz": object()}
+        with pytest.raises(TypeError):
+            _write_manifest(tmp_path, unserializable)
+        assert list(tmp_path.iterdir()) == []
+        _write_manifest(tmp_path, {"status": "complete"})
+        with pytest.raises(TypeError):
+            _write_manifest(tmp_path, unserializable)
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {"status": "complete"}
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.txt")]) == 2
