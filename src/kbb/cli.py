@@ -29,7 +29,7 @@ from .algorithms import run_fvi, run_kbb, run_vi
 from .config import ConfigError, ExperimentConfig, build_env
 from .diagnostics import spectra_table
 from .mrp import TabularModel
-from .records import RunRecord, load_run_csv, load_run_meta, save_run
+from .records import RunRecord, json_text, load_run_csv, load_run_meta, save_run, write_atomic
 from .svgplot import render_log_error_plot
 
 __all__ = ["main", "run_experiment", "compare", "plot", "spectra", "ComparisonReport"]
@@ -97,15 +97,7 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> Path:
 
 
 def _write_manifest(out: Path, manifest: dict):
-    """Write manifest.json atomically: a temporary file, then a rename over it."""
-    tmp = out / "manifest.json.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, out / "manifest.json")
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(out / "manifest.json", json_text(manifest))
 
 
 def _load_dir(run_dir) -> dict:

@@ -89,6 +89,13 @@ def _to_list(s: str) -> list[str]:
     return items
 
 
+def _unique(items: list) -> list:
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"repeated entry {item!r}")
+    return items
+
+
 @dataclass
 class ExperimentConfig:
     env_kind: str
@@ -135,11 +142,11 @@ class ExperimentConfig:
             env_args["d"] = _get(kv, "env.d", int, default=5)
             env_args["q"] = _get(kv, "env.q", float, default=0.5)
 
-        algos = _get(kv, "algos", _to_list, required=True)
+        algos = _get(kv, "algos", lambda s: _unique(_to_list(s)), required=True)
         for a in algos:
             if a not in ALGOS:
                 raise ConfigError(f"algos: unknown algorithm {a!r}")
-        seeds = _get(kv, "seeds", lambda s: [int(x) for x in _to_list(s)], required=True)
+        seeds = _get(kv, "seeds", lambda s: _unique([int(x) for x in _to_list(s)]), required=True)
 
         try:
             budget = IterationBudget(

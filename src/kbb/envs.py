@@ -48,7 +48,6 @@ __all__ = [
     "simulate_nonlinear_x",
     "simulate_linear_z",
     "env_id",
-    "state_dim",
     "env_params",
     "save_dataset",
     "load_dataset",
@@ -536,14 +535,6 @@ def env_id(env) -> str:
     if isinstance(env, ArchModel):
         return f"arch-d{env.d}"
     raise ValueError(f"unsupported model kind: {type(env).__name__}")
-
-
-def state_dim(env) -> int:
-    if isinstance(env, TabularModel):
-        return 1
-    if isinstance(env, NonlinearModel):
-        return 3
-    return env.d
 
 
 def env_params(env) -> dict:

@@ -6,17 +6,20 @@ separately so comparison tooling can normalize against it; it is identical
 across algorithms on the same problem.
 
 On disk each run is a CSV with exactly those five columns plus a JSON
-sidecar carrying everything needed to reproduce the run.
+sidecar carrying everything needed to reproduce the run.  Every file is
+written atomically: a temporary sibling renamed over the target.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-__all__ = ["RunRow", "RunRecord", "save_run", "load_run_csv", "load_run_meta"]
+__all__ = ["RunRow", "RunRecord", "save_run", "load_run_csv", "load_run_meta", "json_text", "write_atomic"]
 
 CSV_COLUMNS = ("iter", "cum_samples", "mu_error", "ridge_used", "wall_ms")
 
@@ -74,12 +77,30 @@ class RunRecord:
         }
 
 
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_atomic(path, text: str):
+    """Write text to a temporary sibling of path, then rename it over path.
+
+    A failed write removes the temporary file and leaves any earlier file at
+    path intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_run(record: RunRecord, csv_path, meta_path):
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(record.to_csv_text())
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(record.sidecar(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # both texts are formed before either file is touched
+    csv, meta = record.to_csv_text(), json_text(record.sidecar())
+    write_atomic(csv_path, csv)
+    write_atomic(meta_path, meta)
 
 
 def load_run_csv(path) -> list:

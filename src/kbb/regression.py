@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import Dataset
-from .trees import RegressionTree
+from .trees import RegressionTree, leaf_values
 from .values import StateValueFn, TableValueFn, as_states
 
 __all__ = [
@@ -80,8 +80,9 @@ class TabularMeanFn(TableValueFn):
 class BoostedTreesFn(StateValueFn):
     """Additive tree ensemble: base value plus learning_rate-weighted trees.
 
-    Evaluation traverses all trees at once on a stacked node table, chunked
-    over rows so the traversal frontier stays cache-resident.
+    Evaluation walks all trees at once through ``trees.leaf_values``, chunked
+    over rows so the traversal frontier stays cache-resident; each chunk's
+    (rows, trees) leaf matrix is summed along its rows.
     """
 
     def __init__(self, base_value: float, learning_rate: float, trees, train_mse_path):
@@ -89,54 +90,17 @@ class BoostedTreesFn(StateValueFn):
         self.learning_rate = float(learning_rate)
         self.trees = list(trees)
         self.train_mse_path = np.asarray(train_mse_path, dtype=np.float64)
-        self._stacked = None
-
-    def _stack(self):
-        if self._stacked is None and self.trees:
-            offsets = np.cumsum([0] + [t.feature.shape[0] for t in self.trees[:-1]])
-            feature = np.concatenate([t.feature for t in self.trees])
-            threshold = np.concatenate([t.threshold for t in self.trees])
-            node_ids = np.concatenate(
-                [np.arange(t.feature.shape[0]) + off for t, off in zip(self.trees, offsets)]
-            )
-            left = np.concatenate([t.left + off for t, off in zip(self.trees, offsets)])
-            right = np.concatenate([t.right + off for t, off in zip(self.trees, offsets)])
-            value = np.concatenate([t.value for t in self.trees])
-            # leaves become self-loops with +inf thresholds so the traversal
-            # below needs no masking
-            is_leaf = feature < 0
-            feature = np.where(is_leaf, 0, feature)
-            threshold = np.where(is_leaf, np.inf, threshold)
-            left = np.where(is_leaf, node_ids, left)
-            right = np.where(is_leaf, node_ids, right)
-            self._stacked = (offsets, feature, threshold, left, right, value)
-        return self._stacked
 
     def __call__(self, states):
         x = _features(as_states(states))
         n = x.shape[0]
         if not self.trees:
             return np.full(n, self.base_value)
-        offsets, feature, threshold, left, right, value = self._stack()
-        n_trees = offsets.shape[0]
-        chunk = max(1, (1 << 21) // n_trees)
+        chunk = max(1, (1 << 21) // len(self.trees))
         out = np.empty(n)
         for start in range(0, n, chunk):
-            xb = x[start : start + chunk]
-            idx = np.broadcast_to(offsets, (xb.shape[0], n_trees)).copy()
-            while True:
-                xf = np.take_along_axis(xb, feature[idx], axis=1)
-                nxt = np.where(xf <= threshold[idx], left[idx], right[idx])
-                if np.array_equal(nxt, idx):
-                    break
-                idx = nxt
-            out[start : start + chunk] = value[idx].sum(axis=1)
+            out[start : start + chunk] = leaf_values(self.trees, x[start : start + chunk]).sum(axis=1)
         return self.base_value + self.learning_rate * out
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_stacked"] = None
-        return state
 
     def __repr__(self):
         return f"BoostedTreesFn(n_trees={len(self.trees)})"

@@ -4,13 +4,16 @@ Splits minimize the sum of squared errors; candidate thresholds are the
 midpoints between consecutive distinct sorted feature values.  Ties are
 broken deterministically: lowest feature index first, then the smallest
 threshold.  Leaves predict the mean of their targets.
+
+``leaf_values`` is the one traversal, under both ``RegressionTree.predict``
+and the evaluation of a boosted ensemble.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RegressionTree", "best_split"]
+__all__ = ["RegressionTree", "best_split", "leaf_values"]
 
 
 def best_split(x_col: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -39,6 +42,30 @@ def best_split(x_col: np.ndarray, y: np.ndarray, min_leaf: int):
     score = np.where(valid, left_sum**2 / n_left + (total - left_sum) ** 2 / n_right, -np.inf)
     j = int(np.argmax(score))
     return float(score[j]), float(0.5 * (sv[j] + sv[j + 1]))
+
+
+def leaf_values(trees, x: np.ndarray) -> np.ndarray:
+    """(rows, trees) matrix of the leaf value each row of x reaches in each tree.
+
+    All trees are walked at once on one stacked node table, built per call, in
+    which leaves loop to themselves behind +inf thresholds until no row moves.
+    """
+    offsets = np.cumsum([0] + [t.feature.shape[0] for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    is_leaf = feature < 0
+    node_ids = np.arange(feature.shape[0])
+    feature = np.where(is_leaf, 0, feature)
+    threshold = np.where(is_leaf, np.inf, np.concatenate([t.threshold for t in trees]))
+    left = np.where(is_leaf, node_ids, np.concatenate([t.left + off for t, off in zip(trees, offsets)]))
+    right = np.where(is_leaf, node_ids, np.concatenate([t.right + off for t, off in zip(trees, offsets)]))
+    rows = np.arange(x.shape[0])[:, None]
+    idx = np.broadcast_to(offsets, (x.shape[0], len(trees))).copy()
+    while True:
+        nxt = np.where(x[rows, feature[idx]] <= threshold[idx], left[idx], right[idx])
+        if (nxt == idx).all():
+            break
+        idx = nxt
+    return np.concatenate([t.value for t in trees])[idx]
 
 
 class RegressionTree:
@@ -101,16 +128,7 @@ class RegressionTree:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        idx = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            f = self.feature[idx]
-            active = np.nonzero(f >= 0)[0]
-            if active.size == 0:
-                break
-            cur = idx[active]
-            go_left = x[active, f[active]] <= self.threshold[cur]
-            idx[active] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.value[idx]
+        return leaf_values([self], x)[:, 0]
 
     def to_arrays(self) -> dict:
         return {

@@ -243,6 +243,34 @@ class TestPinnedRuns:
         assert runs["kbb_shared"].meta["rejected_iters"] == []
         assert runs["kbb_independent"].meta["rejected_iters"] == []
 
+    BOOSTED = {
+        "kbb": (
+            "iter,cum_samples,mu_error,ridge_used\n"
+            "1,1200,31.121570804276107,0\n"
+            "2,1500,33.969817114035948,0\n"
+            "3,1800,20.982115228725913,0\n"
+        ),
+        "fvi": (
+            "iter,cum_samples,mu_error,ridge_used\n"
+            "1,1200,56.004010661312336,0\n"
+            "2,1500,50.991528956801069,0\n"
+            "3,1800,46.646792360869227,0\n"
+        ),
+    }
+
+    def test_boosted_trees_csv_text_matches_pinned(self):
+        # tree fitting and evaluation, pinned across versions like the
+        # tabular runs above
+        env = make_nonlinear(0.9, 3)
+        cfg = RegressorConfig(n_trees=20, max_depth=3, min_leaf=20, subsample=0.7)
+        common = dict(truth=true_value(env), seed=1, n_eval=500, eval_seed=7)
+        strip = lambda text: re.sub(r",[^,\n]*$", "", text, flags=re.M)
+        kbb = run_kbb(env, cfg, IterationBudget(300, 3), **common)
+        fvi = run_fvi(env, cfg, IterationBudget(300, 3), **common)
+        assert strip(kbb.to_csv_text()) == self.BOOSTED["kbb"]
+        assert strip(fvi.to_csv_text()) == self.BOOSTED["fvi"]
+        assert kbb.meta["rejected_iters"] == []
+
     def test_oracle_basis_growth_matches_pinned(self):
         env = make_circular_walk(30, 0.9, 2)
         trace = []

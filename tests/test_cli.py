@@ -132,7 +132,10 @@ class TestRunExperiment:
         ("budget.n_per_iter", "0", "budget"),
         ("env.gamma", "1.5", "gamma"),
         ("env.n", "0", "circular walk"),
-    ], ids=["env.kind", "seeds", "budget.n_per_iter", "env.gamma", "env.n"])
+        ("algos", "vi,vi", "algos"),
+        ("seeds", "1,1", "seeds"),
+    ], ids=["env.kind", "seeds", "budget.n_per_iter", "env.gamma", "env.n",
+            "algos-repeated", "seeds-repeated"])
     def test_cli_exit_codes(self, tmp_path, capsys, key, value, named):
         # an invalid value exits 2 before any output directory is created
         lines = [ln for ln in MINIMAL_VI.format(out=tmp_path / "o").splitlines()

@@ -53,3 +53,17 @@ def test_errors_and_samples_arrays():
     rec = sample_record()
     assert np.allclose(rec.errors, [1.25, 0.5])
     assert rec.cum_samples.tolist() == [400, 500]
+
+
+def test_failed_sidecar_write_leaves_earlier_files(tmp_path):
+    csv_path, meta_path = tmp_path / "r.csv", tmp_path / "r.json"
+    save_run(sample_record(), csv_path, meta_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    bad = sample_record()
+    bad.add_row(iter=3, cum_samples=600, mu_error=0.25, ridge_used=0.0, wall_ms=8.0)
+    bad.meta["zz"] = object()
+    with pytest.raises(TypeError):
+        save_run(bad, csv_path, meta_path)
+    # no partial .json, no .tmp file, and the earlier run is intact
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert load_run_meta(meta_path)["rejected_iters"] == [2]

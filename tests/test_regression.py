@@ -18,7 +18,7 @@ from kbb.regression import (
     residual_targets,
     serialize_fitted,
 )
-from kbb.trees import RegressionTree, best_split
+from kbb.trees import RegressionTree, best_split, leaf_values
 from kbb.values import TableValueFn
 
 
@@ -92,6 +92,55 @@ class TestBestSplitOracle:
         got = best_split(x, y, min_leaf=3)
         # threshold must leave at least 3 points on each side
         assert 2.0 < got[1] < 7.0
+
+
+def reference_leaf_values(trees, x):
+    """Per-row, per-tree walk from the root: rows equal to a threshold go left."""
+    out = np.empty((x.shape[0], len(trees)))
+    for r in range(x.shape[0]):
+        for j, t in enumerate(trees):
+            node = 0
+            while t.feature[node] >= 0:
+                node = t.left[node] if x[r, t.feature[node]] <= t.threshold[node] else t.right[node]
+            out[r, j] = t.value[node]
+    return out
+
+
+class TestLeafValues:
+    def stump(self):
+        arrays = dict(feature=[1, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
+                      right=[2, -1, -1], value=[0.0, -1.0, 1.0])
+        return RegressionTree.from_arrays(arrays, max_depth=1, min_leaf=1)
+
+    def test_matches_reference_walk(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(300, 3))
+        y = np.sin(x[:, 0]) + x[:, 1] * x[:, 2]
+        trees = [RegressionTree(depth, 5).fit(x[i::3], y[i::3]) for i, depth in enumerate((0, 2, 4))]
+        assert trees[0].feature.tolist() == [-1]  # depth 0: a single leaf
+        # plus one row on each split threshold of the deepest tree
+        inner = np.flatnonzero(trees[2].feature >= 0)
+        on = rng.normal(size=(inner.size, 3))
+        on[np.arange(inner.size), trees[2].feature[inner]] = trees[2].threshold[inner]
+        grid = np.vstack([rng.normal(size=(80, 3)), on])
+        assert np.array_equal(leaf_values(trees, grid), reference_leaf_values(trees, grid))
+        for j, t in enumerate(trees):
+            assert np.array_equal(t.predict(grid), reference_leaf_values(trees, grid)[:, j])
+
+    def test_rows_on_a_threshold_go_left(self):
+        x = np.array([[9.0, 0.5], [9.0, np.nextafter(0.5, 1.0)], [9.0, 0.25]])
+        trees = [self.stump(), RegressionTree(0, 1).fit(x, np.full(3, 2.0))]
+        expected = [[-1.0, 2.0], [1.0, 2.0], [-1.0, 2.0]]
+        assert leaf_values(trees, x).tolist() == expected
+        assert reference_leaf_values(trees, x).tolist() == expected
+
+    def test_empty_batch(self):
+        x = np.empty((0, 2))
+        assert leaf_values([self.stump(), self.stump()], x).shape == (0, 2)
+        assert self.stump().predict(x).shape == (0,)
+        pairs = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
+        f = fit(pairs, RegressorConfig(n_trees=3, min_leaf=1))
+        assert f(x).shape == (0,)
 
 
 class TestBoostedTrees:
