@@ -126,14 +126,31 @@ def _power_start(n: int) -> np.ndarray:
     return x / x.sum()
 
 
+def _irreducible_aperiodic(trans: np.ndarray) -> bool:
+    """Graph test: one strongly connected class, and period 1, the gcd of
+    level[u] + 1 - level[v] over all edges u -> v of a breadth-first search."""
+    # Imported here: only this fallback needs scipy.sparse, whose import
+    # adds about 4 MB to every process.
+    from scipy.sparse import csgraph, csr_matrix
+
+    graph = csr_matrix(trans > 0)
+    if csgraph.connected_components(graph, directed=True, connection="strong")[0] != 1:
+        return False
+    level = csgraph.shortest_path(graph, indices=0, unweighted=True).astype(np.int64)
+    u, v = graph.nonzero()
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) == 1
+
+
 def stationary_distribution(
     model: TabularModel, tol: float = 1e-12, max_iters: int | None = None
 ) -> Distribution:
     """Stationary distribution of the chain by power iteration.
 
-    Raises RuntimeError when the iteration has not settled after the cap
-    (default 100 * n_states, with a floor of 5000 so small slow-mixing
-    chains get enough steps), which signals a reducible or periodic chain.
+    When the iteration has not settled after the cap (default 100 * n_states,
+    with a floor of 5000 so small slow-mixing chains get enough steps), an
+    irreducible aperiodic chain is only mixing slowly and is solved directly:
+    (P^T - I) x = 0 with one equation replaced by sum(x) = 1.  Any other
+    chain is reducible or periodic, and RuntimeError is raised.
     """
     n = model.n_states
     if max_iters is None:
@@ -150,10 +167,14 @@ def stationary_distribution(
             break
         x = x_next
     else:
-        raise RuntimeError(
-            f"stationary distribution did not converge in {max_iters} iterations; "
-            "the chain may be reducible or periodic"
-        )
+        if not _irreducible_aperiodic(model.trans):
+            raise RuntimeError(
+                f"stationary distribution did not converge in {max_iters} iterations; "
+                "the chain is reducible or periodic"
+            )
+        a = model.trans.T - np.eye(n)
+        a[-1] = 1.0
+        x = np.linalg.solve(a, np.eye(n)[-1])
     resid = np.abs(x @ model.trans - x).sum()
     if resid > 1e-10:
         raise RuntimeError(f"stationary residual {resid:.3e} exceeds 1e-10")

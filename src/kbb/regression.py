@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import Dataset
-from .trees import RegressionTree, leaf_values
+from .trees import RegressionTree, leaf_values, presort
 from .values import StateValueFn, TableValueFn, as_states
 
 __all__ = [
@@ -155,13 +155,20 @@ def _fit_boosted(states, targets, config: RegressorConfig, seed: int) -> Boosted
     residual = targets - pred
     trees = []
     mse_path = [float(np.mean(residual**2))]
+    order = presort(x)
     for _ in range(config.n_trees):
         if config.subsample < 1.0:
             k = max(1, int(round(config.subsample * n)))
             rows = np.sort(rng.permutation(n)[:k])
+            # The subsample's stable orders, as positions within x[rows]: the
+            # global orders filtered to the kept rows, no sort.
+            pos = np.full(n, -1)
+            pos[rows] = np.arange(k)
+            sub = pos[order]
+            tree_order = sub[sub >= 0].reshape(order.shape[0], k)
         else:
-            rows = slice(None)
-        tree = RegressionTree(config.max_depth, config.min_leaf).fit(x[rows], residual[rows])
+            rows, tree_order = slice(None), order
+        tree = RegressionTree(config.max_depth, config.min_leaf).fit(x[rows], residual[rows], tree_order)
         pred += config.learning_rate * tree.predict(x)
         residual = targets - pred
         trees.append(tree)
@@ -221,6 +228,8 @@ def serialize_fitted(fn) -> bytes:
         for i, tree in enumerate(fn.trees):
             for key, arr in tree.to_arrays().items():
                 payload[f"tree{i}_{key}"] = arr
+            payload[f"tree{i}_max_depth"] = np.array(tree.max_depth)
+            payload[f"tree{i}_min_leaf"] = np.array(tree.min_leaf)
         np.savez(buf, **payload)
     else:
         raise ValueError(f"cannot serialize {type(fn).__name__}")
@@ -237,8 +246,8 @@ def deserialize_fitted(raw: bytes):
         trees = [
             RegressionTree.from_arrays(
                 {key: data[f"tree{i}_{key}"] for key in ("feature", "threshold", "left", "right", "value")},
-                max_depth=0,
-                min_leaf=1,
+                max_depth=int(data[f"tree{i}_max_depth"]),
+                min_leaf=int(data[f"tree{i}_min_leaf"]),
             )
             for i in range(n_trees)
         ]

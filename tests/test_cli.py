@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbb.cli import compare, main, plot, run_experiment, spectra
 from kbb.config import ConfigError, ExperimentConfig, build_env, parse_flat
@@ -89,6 +91,44 @@ class TestConfigParsing:
         a = ExperimentConfig.from_text(MINIMAL_VI.format(out="x"))
         b = ExperimentConfig.from_text(MINIMAL_VI.format(out="x"))
         assert a.config_hash() == b.config_hash()
+
+
+KNOWN_KEYS = [
+    "env.kind", "env.n", "env.gamma", "env.seed", "env.d", "env.m", "env.q", "algos", "seeds",
+    "budget.n_per_iter", "budget.max_iters", "budget.first_iter_multiplier", "budget.shared_data",
+    "regressor.kind", "regressor.n_trees", "regressor.max_depth", "regressor.learning_rate",
+    "regressor.min_leaf", "regressor.subsample", "eval.n_eval", "eval.seed", "out_dir",
+]
+VALID_KV = {"env.kind": "circular", "env.n": "8", "env.gamma": "0.9", "env.seed": "1", "algos": "vi",
+            "seeds": "1", "budget.max_iters": "2", "out_dir": "x"}
+EDGE_VALUES = st.sampled_from([
+    "", "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "0", "-1", "0.5", "1.5", "3", "0x10",
+    "9" * 40, "1,1", "1,,2", ",", "true", "no", "maybe", "circular", "arch", "lqr", "nonlinear",
+    "random_tabular", "vi,fvi,kbb", "kbb,kbb", "boosted_trees", "tabular_mean", "=", "#", "\u00e9",
+]) | st.text(max_size=12)
+FREE_LINE = st.text(max_size=40) | st.builds("{} = {}".format, st.sampled_from(KNOWN_KEYS) | st.text(max_size=12), EDGE_VALUES)
+
+
+@st.composite
+def config_texts(draw):
+    """A valid minimal config with entries overridden, dropped, repeated or added."""
+    kv = dict(VALID_KV)
+    for key in draw(st.lists(st.sampled_from(KNOWN_KEYS), max_size=6)):
+        kv[key] = draw(EDGE_VALUES)
+    for key in draw(st.lists(st.sampled_from(KNOWN_KEYS), max_size=2)):
+        kv.pop(key, None)
+    lines = [f"{k} = {v}" for k, v in kv.items()] + draw(st.lists(FREE_LINE, max_size=3))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts() | st.text())
+def test_any_config_text_parses_or_raises_config_error(text):
+    for parse in (parse_flat, ExperimentConfig.from_text):
+        try:
+            parse(text)
+        except ConfigError:
+            pass
 
 
 class TestRunExperiment:

@@ -103,6 +103,27 @@ class TestStationaryDistribution:
         with pytest.raises(RuntimeError):
             stationary_distribution(m)
 
+    def test_slow_odd_circular_walk_solved_directly(self):
+        # Irreducible and lazy, but power iteration does not settle in 100 * n
+        # steps at n = 401; the direct solve gives the uniform law.
+        m = make_circular_walk(401, 0.9, 1)
+        mu = stationary_distribution(m)
+        assert np.abs(mu.weights - 1.0 / 401).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "trans",
+        [
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],  # period 3
+            np.roll(np.eye(6), 1, axis=1) / 2 + np.roll(np.eye(6), -1, axis=1) / 2,  # period 2
+            [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]],  # reducible
+        ],
+        ids=["cycle3", "ring6", "two-classes"],
+    )
+    def test_periodic_or_reducible_chain_still_errors(self, trans):
+        m = TabularModel(trans=trans, reward=np.zeros(len(trans)), gamma=0.9)
+        with pytest.raises(RuntimeError, match="reducible or periodic"):
+            stationary_distribution(m, max_iters=200)
+
     def test_residual_postcondition(self):
         m = make_random_tabular(40, 0.9, 9)
         mu = stationary_distribution(m)

@@ -1,5 +1,7 @@
 """Regression backends: tabular means, boosted trees, residual/backup targets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,7 +78,8 @@ class TestBestSplitOracle:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, size=80)
         y = (x > 0).astype(float) + 0.1 * rng.normal(size=80)
-        got = best_split(x, y, min_leaf=5)
+        order = np.argsort(x, kind="stable")
+        got = best_split(x[order], y[order], min_leaf=5)
         want = self.brute_force(x, y, min_leaf=5)
         assert got is not None
         assert got[0] == pytest.approx(want[0])
@@ -141,6 +144,129 @@ class TestLeafValues:
         pairs = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
         f = fit(pairs, RegressorConfig(n_trees=3, min_leaf=1))
         assert f(x).shape == (0,)
+
+
+def reference_tree(x, y, max_depth, min_leaf, split=best_split):
+    """Node arrays of the builder without presorting: every node stably
+    argsorts its rows' values of every feature before the split search."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        for arr, init in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
+            arr.append(init)
+        return len(feature) - 1
+
+    stack = [(new_node(), np.arange(x.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        ysub = y[rows]
+        value[node] = float(ysub.mean())
+        if depth >= max_depth or rows.shape[0] < 2 * min_leaf:
+            continue
+        best = None
+        for f in range(x.shape[1]):
+            order = np.argsort(x[rows, f], kind="stable")
+            cand = split(x[rows, f][order], ysub[order], min_leaf)
+            if cand is not None and (best is None or cand[0] > best[0]):
+                best = (cand[0], f, cand[1])
+        if best is None or best[0] - float(ysub.sum()) ** 2 / rows.shape[0] <= 0.0:
+            continue
+        _, f, thr = best
+        go_left = x[rows, f] <= thr
+        feature[node], threshold[node] = f, thr
+        left[node], right[node] = new_node(), new_node()
+        stack.append((right[node], rows[~go_left], depth + 1))
+        stack.append((left[node], rows[go_left], depth + 1))
+    return dict(feature=feature, threshold=threshold, left=left, right=right, value=value)
+
+
+def assert_same_tree(tree, reference):
+    for key, arr in tree.to_arrays().items():
+        assert np.array_equal(arr, reference[key]), key
+
+
+class TestPresortedTrees:
+    """The presorted build against the per-node-argsort reference, array by array."""
+
+    def data(self, n=600, d=3, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        return x, np.sin(2 * x[:, 0]) + x[:, 1] * x[:, -1] + 0.1 * rng.normal(size=n)
+
+    @pytest.mark.parametrize("max_depth,min_leaf", [(0, 5), (1, 1), (4, 5), (6, 20)])
+    def test_continuous_features(self, max_depth, min_leaf):
+        x, y = self.data()
+        tree = RegressionTree(max_depth, min_leaf).fit(x, y)
+        assert_same_tree(tree, reference_tree(x, y, max_depth, min_leaf))
+        if max_depth == 0:
+            assert tree.feature.tolist() == [-1]
+
+    def test_rounded_features_with_ties(self):
+        x, y = self.data(seed=1)
+        x = np.round(x, 1)
+        assert np.unique(x[:, 0]).size < 100
+        assert_same_tree(RegressionTree(5, 3).fit(x, y), reference_tree(x, y, 5, 3))
+
+    def test_split_search_sees_the_reference_sequences(self, monkeypatch):
+        # Same sorted values and same target order at every node and feature,
+        # so every cumsum, score and tie-break is the reference's, bit for bit.
+        x, y = self.data(seed=1)
+        x = np.round(x, 1)
+        seen = []
+
+        def recording(sv, sy, min_leaf):
+            seen.append((sv.copy(), sy.copy()))
+            return best_split(sv, sy, min_leaf)
+
+        monkeypatch.setattr("kbb.trees.best_split", recording)
+        RegressionTree(5, 3).fit(x, y)
+        got, seen[:] = list(seen), []
+        reference_tree(x, y, 5, 3, split=recording)
+        assert len(got) == len(seen) > 0
+        for (sv, sy), (rv, ry) in zip(got, seen):
+            assert np.array_equal(sv, rv) and np.array_equal(sy, ry)
+
+    def test_duplicated_columns_split_on_feature_zero(self):
+        x, y = self.data(seed=2)
+        x = np.column_stack([x[:, 0], x[:, 0]])
+        tree = RegressionTree(4, 2).fit(x, y)
+        assert_same_tree(tree, reference_tree(x, y, 4, 2))
+        assert set(tree.feature[tree.feature >= 0].tolist()) == {0}
+
+    def test_integer_states(self):
+        states = np.random.default_rng(3).integers(0, 40, size=500)
+        y = np.cos(states / 5.0)
+        x = states.astype(np.float64).reshape(-1, 1)
+        assert_same_tree(RegressionTree(5, 5).fit(x, y), reference_tree(x, y, 5, 5))
+
+    def test_boosted_subsample_tree_by_tree(self):
+        x, y = self.data(seed=5)
+        x = np.round(x, 1)
+        cfg = RegressorConfig(n_trees=12, max_depth=4, min_leaf=5, subsample=0.7)
+        f = fit((x, y), cfg, seed=8)
+        rng = np.random.default_rng(8)
+        pred = np.full(y.shape[0], f.base_value)
+        k = int(round(0.7 * y.shape[0]))
+        for tree in f.trees:
+            rows = np.sort(rng.permutation(y.shape[0])[:k])
+            assert_same_tree(tree, reference_tree(x[rows], (y - pred)[rows], 4, 5))
+            pred += cfg.learning_rate * tree.predict(x)
+
+    def test_fit_hash_pin(self):
+        # Recorded before split search was presorted (per-node argsort).
+        rng = np.random.default_rng(20240601)
+        x = np.round(rng.normal(size=(3000, 3)), 2)
+        y = np.sin(2 * x[:, 0]) + x[:, 1] * x[:, 2] + 0.1 * rng.normal(size=3000)
+        cfg = RegressorConfig(n_trees=50, max_depth=5, learning_rate=0.1, min_leaf=5, subsample=0.7)
+        f = fit((x, y), cfg, seed=3)
+        h = hashlib.sha256()
+        for tree in f.trees:
+            for arr in tree.to_arrays().values():
+                h.update(arr.tobytes())
+        assert h.hexdigest() == "b46e90fc48013ae41595a138ffbfa2fe81fa6b4f228e42eebb1aa0c0fd32fc8e"
+        grid = np.random.default_rng(11).normal(size=(5000, 3))
+        values = hashlib.sha256(f(grid).tobytes()).hexdigest()
+        assert values == "922fc0d818dc83ba70afe6e870c3fbb3d3e53a5fe501e6bbdd973cd160e2c5f5"
 
 
 class TestBoostedTrees:
@@ -255,10 +381,13 @@ class TestSerialization:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(150, 2))
         y = x[:, 0] * x[:, 1]
-        f = fit((x, y), RegressorConfig(n_trees=15))
+        f = fit((x, y), RegressorConfig(n_trees=15, max_depth=3, min_leaf=5))
         g = deserialize_fitted(serialize_fitted(f))
         grid = rng.normal(size=(40, 2))
         assert np.array_equal(f(grid), g(grid))
+        assert len(g.trees) == 15
+        for tree in g.trees:
+            assert (tree.max_depth, tree.min_leaf) == (3, 5)
 
 
 @settings(max_examples=20, deadline=None)
