@@ -92,7 +92,7 @@ class ErrorEvaluator:
         self.env = env
         self.truth = truth
         if isinstance(env, TabularModel):
-            self.mu = stationary_distribution(env)
+            self.mu = envs.stationary_law(env)
             self.states = np.arange(env.n_states)
         else:
             self.mu = None

@@ -15,7 +15,9 @@ from __future__ import annotations
 import enum
 import io
 import json
+import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,7 @@ __all__ = [
     "true_value",
     "sample_transitions",
     "stationary_states",
+    "stationary_law",
     "stationary_covariance",
     "arch_contraction_factor",
     "nonlinear_to_z",
@@ -64,6 +67,8 @@ ARCH_LIN_BUDGET = 0.5  # target ||L||_2^2
 ARCH_TOTAL_BUDGET = 0.95  # ||L||_2^2 + ||Gamma||_F ||Sigma||_F stays below this
 ARCH_BURN_IN = 1000
 ARCH_STRIDE = 10
+# Trajectory steps whose noise one standard_normal call draws.
+ARCH_BLOCK = 4096
 
 
 class DrawMode(enum.Enum):
@@ -431,8 +436,63 @@ def arch_true_value(model: ArchModel, tol: float = 1e-12, max_iters: int = 100_0
     return QuadraticValueFn(p, offset=offset)
 
 
+# ---------------------------------------------------------------------------
+# Values built once per model object
+# ---------------------------------------------------------------------------
+
+_MEMO_LOCK = threading.RLock()
+
+
+def _memo(model, key, build):
+    """``build()`` once per model object and key; later calls return that value.
+
+    The values live on the instance itself, so two equal models built apart
+    never share one.  Entries are filled under one (re-entrant) lock, so
+    concurrent jobs on one model build each entry once.
+    """
+    if not isinstance(model, (TabularModel, LqrModel, NonlinearModel, ArchModel)):
+        raise ValueError(f"unsupported model kind: {type(model).__name__}")
+    memo = vars(model).get("_memo")
+    if memo is not None and key in memo:
+        return memo[key]
+    with _MEMO_LOCK:
+        memo = vars(model).setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _tabular_law(model: TabularModel) -> tuple:
+    """(stationary law, its CDF, the CDF of every transition row), with each
+    CDF's last entry set to exactly 1; built once per model object."""
+
+    def build():
+        mu = stationary_distribution(model)
+        cdf_mu = np.cumsum(mu.weights)
+        cdf_mu[-1] = 1.0
+        cdf_rows = np.cumsum(model.trans, axis=1)
+        cdf_rows[:, -1] = 1.0
+        return mu, _read_only(cdf_mu), _read_only(cdf_rows)
+
+    return _memo(model, "tabular_law", build)
+
+
+def stationary_law(model: TabularModel) -> Distribution:
+    """The stationary distribution of a tabular model, solved once per model object."""
+    return _tabular_law(model)[0]
+
+
 def true_value(env):
-    """Ground-truth value function for any benchmark model."""
+    """Ground-truth value function for any benchmark model, built once per model object."""
+    return _memo(env, "true_value", lambda: _build_true_value(env))
+
+
+def _build_true_value(env):
     if isinstance(env, TabularModel):
         from .mrp import solve_exact
 
@@ -475,19 +535,28 @@ def _quad_rewards(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _sample_tabular(model: TabularModel, n: int, rng: np.random.Generator) -> tuple:
-    mu = stationary_distribution(model)
-    cdf_mu = np.cumsum(mu.weights)
-    cdf_mu[-1] = 1.0
+    """States from the stationary law, then each next state by a search of
+    its state's transition CDF.
+
+    The draws are grouped by state with one stable sort (a radix sort on a
+    key as narrow as the state count allows), so each state's search runs
+    once over its own draws; each draw meets the same comparisons as a
+    search of its row alone.
+    """
+    _, cdf_mu, cdf_rows = _tabular_law(model)
     states = np.searchsorted(cdf_mu, rng.random(n), side="right").astype(np.int64)
-    cdf_rows = np.cumsum(model.trans, axis=1)
-    cdf_rows[:, -1] = 1.0
     u = rng.random(n)
+    order = np.argsort(states.astype(np.min_scalar_type(model.n_states - 1)), kind="stable")
+    counts = np.bincount(states, minlength=model.n_states)
+    edges = np.concatenate(([0], np.cumsum(counts))).tolist()
+    u_grouped = u[order]
+    nxt_grouped = np.empty(n, dtype=np.int64)
+    for s in np.flatnonzero(counts).tolist():
+        lo, hi = edges[s], edges[s + 1]
+        nxt_grouped[lo:hi] = np.searchsorted(cdf_rows[s], u_grouped[lo:hi], side="right")
     nxt = np.empty(n, dtype=np.int64)
-    for s in np.unique(states):
-        mask = states == s
-        nxt[mask] = np.searchsorted(cdf_rows[s], u[mask], side="right")
-    rewards = model.reward[states]
-    return states, rewards, nxt
+    nxt[order] = nxt_grouped
+    return states, model.reward[states], nxt
 
 
 def _sample_lqr(model: LqrModel, n: int, rng: np.random.Generator) -> tuple:
@@ -503,26 +572,34 @@ def _sample_nonlinear(model: NonlinearModel, n: int, rng: np.random.Generator) -
     return nonlinear_from_z(z), rewards, nonlinear_from_z(z_next)
 
 
-def _arch_step(model: ArchModel, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(model.q_scalar + _quad_rewards(x, model.scale_mat))
-    return x @ model.a_mat.T + scale[:, None] * w
-
-
 def _sample_arch(model: ArchModel, n: int, rng: np.random.Generator) -> tuple:
-    noise_factor = _psd_factor(model.noise_cov).T
-    x = np.zeros((1, model.d))
-    for _ in range(ARCH_BURN_IN):
-        x = _arch_step(model, x, rng.standard_normal((1, model.d)) @ noise_factor)
-    states = np.empty((n, model.d))
-    next_states = np.empty((n, model.d))
-    for i in range(n):
-        states[i] = x[0]
-        x = _arch_step(model, x, rng.standard_normal((1, model.d)) @ noise_factor)
-        next_states[i] = x[0]
-        for _ in range(ARCH_STRIDE - 1):
-            x = _arch_step(model, x, rng.standard_normal((1, model.d)) @ noise_factor)
-    rewards = _quad_rewards(states, model.cost_mat)
-    return states, rewards, next_states
+    """n (state, next state) pairs of one trajectory from the origin: the
+    first pair after ARCH_BURN_IN steps, then one every ARCH_STRIDE steps.
+
+    The recursion runs on 1-d vectors.  Its noise is drawn ARCH_BLOCK steps
+    at a time and shaped by a stacked (k, 1, d) @ F product, which gives each
+    step the bits of a per-step (1, d) draw (a (k, d) @ F product need not).
+    Only the kept pairs are stored, so no array grows with the trajectory.
+    """
+    d = model.d
+    factor = _psd_factor(model.noise_cov).T
+    a_t, g_mat, q = model.a_mat.T, model.scale_mat, model.q_scalar
+    states = np.empty((n, d))
+    next_states = np.empty((n, d))
+    x = np.zeros(d)
+    steps = ARCH_BURN_IN + n * ARCH_STRIDE
+    keep, i = ARCH_BURN_IN, 0
+    for start in range(0, steps, ARCH_BLOCK):
+        noise = (rng.standard_normal((min(ARCH_BLOCK, steps - start), 1, d)) @ factor)[:, 0]
+        for t, w in enumerate(noise, start):
+            if t == keep:
+                states[i] = x
+            x = x @ a_t + math.sqrt(q + np.einsum("i,ij,j->", x, g_mat, x)) * w
+            if t == keep:
+                next_states[i] = x
+                i += 1
+                keep += ARCH_STRIDE
+    return states, _quad_rewards(states, model.cost_mat), next_states
 
 
 def env_id(env) -> str:
@@ -594,13 +671,18 @@ def sample_transitions(env, n: int, seed: int) -> Dataset:
 
 
 def stationary_states(env, n: int, seed: int) -> np.ndarray:
-    """Draw n states from the stationary law (trajectory-based for ARCH)."""
+    """n states from the stationary law (trajectory-based for ARCH).
+
+    Built once per (model object, n, seed) and returned read-only; every
+    call gives the bits of a fresh draw.
+    """
+    return _memo(env, ("stationary_states", n, seed), lambda: _read_only(_draw_states(env, n, seed)))
+
+
+def _draw_states(env, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if isinstance(env, TabularModel):
-        mu = stationary_distribution(env)
-        cdf = np.cumsum(mu.weights)
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64)
+        return np.searchsorted(_tabular_law(env)[1], rng.random(n), side="right").astype(np.int64)
     if isinstance(env, LqrModel):
         s_inf = stationary_covariance(env)
         return rng.standard_normal((n, env.d)) @ _psd_factor(s_inf).T

@@ -141,16 +141,34 @@ def _irreducible_aperiodic(trans: np.ndarray) -> bool:
     return int(np.gcd.reduce(level[u] + 1 - level[v])) == 1
 
 
+def _all_reach(trans: np.ndarray, c: int) -> bool:
+    """Whether every state reaches state c: a breadth-first search from c
+    along reversed edges (dense, so no scipy.sparse import on this path)."""
+    into = (trans > 0).T  # into[v, u]: the chain steps from u to v
+    seen = np.zeros(trans.shape[0], dtype=bool)
+    seen[c] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = into[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def stationary_distribution(
     model: TabularModel, tol: float = 1e-12, max_iters: int | None = None
 ) -> Distribution:
     """Stationary distribution of the chain by power iteration.
 
-    When the iteration has not settled after the cap (default 100 * n_states,
-    with a floor of 5000 so small slow-mixing chains get enough steps), an
-    irreducible aperiodic chain is only mixing slowly and is solved directly:
-    (P^T - I) x = 0 with one equation replaced by sum(x) = 1.  Any other
-    chain is reducible or periodic, and RuntimeError is raised.
+    A settled iteration is accepted only when every state can reach the
+    state it weights most, so the chain has one closed class and one
+    stationary law; with several closed classes the iteration settles on
+    its start vector's split between them, and RuntimeError is raised.
+    When the iteration has not settled after the cap (default 100 *
+    n_states, with a floor of 5000 so small slow-mixing chains get enough
+    steps), an irreducible aperiodic chain is only mixing slowly and is
+    solved directly: (P^T - I) x = 0 with one equation replaced by
+    sum(x) = 1.  Any other chain is reducible or periodic, and RuntimeError
+    is raised.
     """
     n = model.n_states
     if max_iters is None:
@@ -164,6 +182,9 @@ def stationary_distribution(
         x_next = x_next / s
         if np.abs(x_next - x).sum() <= tol:
             x = x_next
+            if not _all_reach(model.trans, int(np.argmax(x))):
+                raise RuntimeError("the chain is reducible with more than one closed class; "
+                                   "its stationary distribution is not unique")
             break
         x = x_next
     else:

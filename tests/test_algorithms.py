@@ -15,6 +15,7 @@ from kbb.algorithms import (
     run_kbb,
     run_vi,
 )
+from kbb import envs
 from kbb.envs import (
     make_arch,
     make_circular_walk,
@@ -312,3 +313,10 @@ class TestErrorEvaluator:
         e1 = ErrorEvaluator(env, truth, n_eval=100, seed=42)
         e2 = ErrorEvaluator(env, truth, n_eval=100, seed=42)
         assert np.array_equal(e1.states, e2.states)
+        assert e1.states is e2.states  # drawn once per model object
+
+    def test_tabular_weights_are_the_model_law(self):
+        env = make_random_tabular(15, 0.9, 4)
+        evaluator = ErrorEvaluator(env, true_value(env))
+        assert evaluator.mu is envs.stationary_law(env)
+        assert np.array_equal(evaluator.mu.weights, stationary_distribution(env).weights)

@@ -213,6 +213,16 @@ class TestRunExperiment:
         for p1 in sorted(seq.glob("*.csv")):
             assert strip(p1.read_text()) == strip((par / p1.name).read_text())
 
+    def test_ground_truth_built_once_per_experiment(self, tmp_path, monkeypatch):
+        from kbb import envs
+
+        built = []
+        build = envs._build_true_value
+        monkeypatch.setattr(envs, "_build_true_value", lambda env: built.append(env) or build(env))
+        cfg_path = write_config(tmp_path, SMALL_COMPARISON)
+        run_experiment(cfg_path, out_dir=tmp_path / "par", threads=3)
+        assert len(built) == 1  # six jobs, one model, one dense solve
+
     def test_env_var_overrides(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, MINIMAL_VI)
         target = tmp_path / "redirected"

@@ -1,5 +1,10 @@
 """Benchmark environment construction, ground truth, and sampling."""
 
+import hashlib
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -30,7 +35,7 @@ from kbb.envs import (
     stationary_covariance,
     true_value,
 )
-from kbb.mrp import solve_exact, stationary_distribution
+from kbb.mrp import TabularModel, solve_exact, stationary_distribution
 
 
 class TestRandomTabular:
@@ -270,6 +275,193 @@ class TestSampling:
         emp = ds.states.T @ ds.states / len(ds)
         s = stationary_covariance(m)
         assert np.abs(emp - s).max() <= 6 * np.abs(s).max() / np.sqrt(200_000 / 10)
+
+
+def reference_tabular(model, n, seed):
+    """The per-state-mask sampler that the grouped one replaced: one
+    ``states == s`` mask over all draws per distinct drawn state."""
+    rng = np.random.default_rng(seed)
+    cdf_mu = np.cumsum(stationary_distribution(model).weights)
+    cdf_mu[-1] = 1.0
+    states = np.searchsorted(cdf_mu, rng.random(n), side="right").astype(np.int64)
+    cdf_rows = np.cumsum(model.trans, axis=1)
+    cdf_rows[:, -1] = 1.0
+    u = rng.random(n)
+    nxt = np.empty(n, dtype=np.int64)
+    for s in np.unique(states):
+        mask = states == s
+        nxt[mask] = np.searchsorted(cdf_rows[s], u[mask], side="right")
+    return states, model.reward[states], nxt
+
+
+def reference_arch(model, n, seed):
+    """The per-step ARCH sampler that the blocked 1-d one replaced: (1, d)
+    row vectors and one standard_normal((1, d)) draw per step."""
+    rng = np.random.default_rng(seed)
+    factor = envs._psd_factor(model.noise_cov).T
+
+    def step(x):
+        w = rng.standard_normal((1, model.d)) @ factor
+        scale = np.sqrt(model.q_scalar + np.einsum("ni,ij,nj->n", x, model.scale_mat, x))
+        return x @ model.a_mat.T + scale[:, None] * w
+
+    x = np.zeros((1, model.d))
+    for _ in range(envs.ARCH_BURN_IN):
+        x = step(x)
+    states, next_states = np.empty((n, model.d)), np.empty((n, model.d))
+    for i in range(n):
+        states[i] = x[0]
+        x = step(x)
+        next_states[i] = x[0]
+        for _ in range(envs.ARCH_STRIDE - 1):
+            x = step(x)
+    return states, np.einsum("ni,ij,nj->n", states, model.cost_mat, states), next_states
+
+
+def arch_with_full_noise(d, seed):
+    """An ARCH model with a non-diagonal noise covariance, rescaled to stay a contraction."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, size=(d, d))
+    a *= 0.6 / np.linalg.norm(a, 2)
+    m = rng.normal(size=(d, d))
+    noise = 0.05 * (m @ m.T) + 0.01 * np.eye(d)
+    g = rng.uniform(size=(d, d))
+    scale = g.T @ g
+    scale *= 0.4 / (np.linalg.norm(scale, "fro") * np.linalg.norm(noise, "fro"))
+    c = rng.uniform(size=(d, d))
+    return ArchModel(a_mat=a, scale_mat=scale, cost_mat=c.T @ c, q_scalar=0.3, noise_cov=noise, gamma=0.9)
+
+
+def assert_same_draws(ds, ref):
+    for got, want in zip((ds.states, ds.rewards, ds.next_states), ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def sample_digest(ds):
+    h = hashlib.sha256()
+    for arr in (ds.states, ds.rewards, ds.next_states):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestSamplersMatchReference:
+    """The grouped tabular and blocked ARCH samplers against test-only copies
+    of the samplers they replaced, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "model,n",
+        [
+            (make_circular_walk(400, 0.9, 1), 100_000),
+            (make_random_tabular(300, 0.9, 2), 20_000),  # a uint16 sort key
+            (make_circular_walk(400, 0.9, 1), 50),  # most states undrawn
+            (make_circular_walk(400, 0.9, 1), 1),
+            (TabularModel(trans=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
+                          reward=[1.0, 2.0, 3.0], gamma=0.9), 5000),  # a transient state
+        ],
+        ids=["walk400", "random300", "walk-50-draws", "one-draw", "transient"],
+    )
+    def test_tabular(self, model, n):
+        assert_same_draws(sample_transitions(model, n, 5), reference_tabular(model, n, 5))
+
+    @pytest.mark.parametrize(
+        "model,n",
+        [
+            (make_arch(5, 0.5, 0.9, 10), 700),  # two noise blocks
+            (arch_with_full_noise(1, 0), 400),
+            (arch_with_full_noise(3, 1), 400),
+            (arch_with_full_noise(8, 2), 400),
+            (make_arch(2, 0.0, 0.9, 3), 1),
+        ],
+        ids=["make_arch5", "full-noise-d1", "full-noise-d3", "full-noise-d8", "one-draw"],
+    )
+    def test_arch(self, model, n):
+        ref = reference_arch(model, n, 7)
+        assert_same_draws(sample_transitions(model, n, 7), ref)
+        assert np.array_equal(envs.stationary_states(model, n, 7), ref[0])
+
+    def test_noise_block_boundary(self, monkeypatch):
+        # Blocks that end mid-stride and a last block of one step.
+        model = arch_with_full_noise(3, 4)
+        monkeypatch.setattr(envs, "ARCH_BLOCK", 7)
+        n = 38  # 1000 + 380 steps: 197 blocks of 7, then one of 1
+        assert (envs.ARCH_BURN_IN + n * envs.ARCH_STRIDE) % 7 == 1
+        assert_same_draws(sample_transitions(model, n, 2), reference_arch(model, n, 2))
+
+    def test_hash_pins(self):
+        # Recorded with the per-state-mask and per-step samplers.
+        walk = sample_transitions(make_circular_walk(400, 0.9, 1), 100_000, 5)
+        assert sample_digest(walk) == "8b9d1206d71858a1a258f4aefd061f8914f6113cb56b0b81070fb13ce15ddcb3"
+        arch = sample_transitions(make_arch(5, 0.5, 0.9, 10), 2000, 3)
+        assert sample_digest(arch) == "99a6287f62776f1ae8964e3f9d4f1a9fbabbb731bb0be087f00db1733148832a"
+
+
+class TestPerModelValues:
+    """Stationary laws, evaluation states and ground truth are built once per model object."""
+
+    MODELS = {
+        "tabular": lambda: make_random_tabular(12, 0.9, 3),
+        "lqr": lambda: make_lqr(3, 2, 0.9, 1),
+        "nonlinear": lambda: make_nonlinear(0.9, 2),
+        "arch": lambda: make_arch(3, 0.5, 0.9, 3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_states_read_only_and_equal_to_fresh_draws(self, kind):
+        model = self.MODELS[kind]()
+        first = envs.stationary_states(model, 300, 1)
+        other = envs.stationary_states(model, 300, 2)
+        again = envs.stationary_states(model, 300, 1)
+        assert again is first and not first.flags.writeable and not other.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0
+        for seed, got in ((1, again), (2, other)):
+            fresh = envs.stationary_states(self.MODELS[kind](), 300, seed)
+            assert got.dtype == fresh.dtype and np.array_equal(got, fresh)
+
+    def test_equal_models_do_not_share_entries(self):
+        a, b = make_arch(3, 0.5, 0.9, 3), make_arch(3, 0.5, 0.9, 3)
+        assert np.array_equal(a.a_mat, b.a_mat)
+        assert envs.stationary_states(a, 50, 1) is not envs.stationary_states(b, 50, 1)
+        assert true_value(a) is true_value(a) and true_value(a) is not true_value(b)
+        walk_a, walk_b = make_circular_walk(8, 0.9, 0), make_circular_walk(8, 0.9, 0)
+        assert envs.stationary_law(walk_a) is envs.stationary_law(walk_a)
+        assert envs.stationary_law(walk_a) is not envs.stationary_law(walk_b)
+
+    def test_concurrent_callers_build_once(self, monkeypatch):
+        builds = []
+        draw = envs._draw_states
+
+        def slow_draw(env, n, seed):
+            builds.append(seed)
+            time.sleep(0.05)
+            return draw(env, n, seed)
+
+        monkeypatch.setattr(envs, "_draw_states", slow_draw)
+        model = make_arch(3, 0.5, 0.9, 3)
+        results = [None] * 8
+
+        def call(j):
+            results[j] = envs.stationary_states(model, 100, 9)
+
+        threads = [threading.Thread(target=call, args=(j,)) for j in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert builds == [9]
+        assert all(r is results[0] for r in results)
+
+    def test_unsupported_kind(self):
+        with pytest.raises(ValueError, match="unsupported model kind"):
+            envs.stationary_states(object(), 10, 0)
+        with pytest.raises(ValueError, match="unsupported model kind"):
+            true_value("not a model")
 
 
 class TestGroundTruthBellmanConsistency:

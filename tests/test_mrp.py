@@ -124,6 +124,26 @@ class TestStationaryDistribution:
         with pytest.raises(RuntimeError, match="reducible or periodic"):
             stationary_distribution(m, max_iters=200)
 
+    @pytest.mark.parametrize(
+        "trans",
+        [
+            [[1.0, 0.0], [0.0, 1.0]],  # settled on the start vector (0.75, 0.25)
+            [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]],
+        ],
+        ids=["identity", "two-lazy-classes"],
+    )
+    def test_settled_reducible_chain_errors(self, trans):
+        m = TabularModel(trans=trans, reward=np.zeros(len(trans)), gamma=0.9)
+        with pytest.raises(RuntimeError, match="reducible"):
+            stationary_distribution(m)
+
+    def test_one_closed_class_with_transient_states(self):
+        trans = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]  # state 0 is transient
+        m = TabularModel(trans=trans, reward=np.zeros(3), gamma=0.9)
+        assert np.abs(stationary_distribution(m).weights - [0.0, 0.5, 0.5]).max() <= 1e-10
+        one = TabularModel(trans=[[1.0]], reward=[1.0], gamma=0.9)
+        assert stationary_distribution(one).weights.tolist() == [1.0]
+
     def test_residual_postcondition(self):
         m = make_random_tabular(40, 0.9, 9)
         mu = stationary_distribution(m)
