@@ -7,7 +7,7 @@ diagnostics for the method's structural invariants.
 
 __version__ = "0.1.0"
 
-from .algorithms import IterationBudget, evaluate_error, run_fvi, run_kbb, run_vi
+from .algorithms import IterationBudget, run_fvi, run_kbb, run_vi
 from .diagnostics import (
     QOperator,
     SpectralPair,
@@ -16,7 +16,6 @@ from .diagnostics import (
     krylov_projection_solution,
     oracle_kbb,
     q_inner,
-    q_norm,
     restricted_spectral_values,
 )
 from .envs import (
@@ -25,7 +24,6 @@ from .envs import (
     DrawMode,
     LqrModel,
     NonlinearModel,
-    TransitionSample,
     arch_true_value,
     lqr_true_value,
     make_arch,
@@ -37,7 +35,7 @@ from .envs import (
     sample_transitions,
     true_value,
 )
-from .lstd import BasisSet, LstdSolution, build_lstd_system, lstd_solve, lstd_solve_population
+from .lstd import BasisSet, LstdSolution, lstd_solve_population
 from .mrp import (
     Distribution,
     TabularModel,
@@ -49,15 +47,8 @@ from .mrp import (
     stationary_distribution,
 )
 from .records import RunRecord, RunRow
-from .regression import (
-    RegressionPair,
-    RegressorConfig,
-    fit,
-    fit_backup,
-    fit_residual,
-)
+from .regression import RegressorConfig, fit
 from .values import (
-    BasisSumValueFn,
     ConstantValueFn,
     QuadraticValueFn,
     ScaledValueFn,

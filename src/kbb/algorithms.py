@@ -30,7 +30,6 @@ from .values import ConstantValueFn, QuadraticValueFn, ScaledValueFn, TableValue
 __all__ = [
     "IterationBudget",
     "ErrorEvaluator",
-    "evaluate_error",
     "run_vi",
     "run_fvi",
     "run_kbb",
@@ -107,11 +106,6 @@ class ErrorEvaluator:
 
     def __call__(self, v) -> float:
         return self.error_of_values(v(self.states))
-
-
-def evaluate_error(v, truth, env, n_eval: int = 10_000, seed: int = 0) -> float:
-    """One-shot mu-norm error of v against truth on the given model."""
-    return ErrorEvaluator(env, truth, n_eval=n_eval, seed=seed)(v)
 
 
 # ---------------------------------------------------------------------------

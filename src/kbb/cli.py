@@ -8,7 +8,8 @@ Subcommands::
     kbb spectra <config> --depth K [--out f]  restricted spectral values
 
 Environment overrides: KBB_OUT_DIR replaces the config's out_dir and
-KBB_THREADS sets the worker-pool size for (algo, seed) pairs.
+KBB_THREADS (an integer >= 1) sets the worker-pool size for (algo, seed)
+pairs.
 
 Exit codes: 0 success, 2 invalid config or arguments, 1 runtime failure
 (partial results are kept, with a failure marker in the manifest).
@@ -261,13 +262,14 @@ def plot(run_dirs, out_path) -> str:
                 }
             )
     svg = render_log_error_plot(series, title=loaded[0]["manifest"]["env"].get("kind", ""))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    write_atomic(out_path, svg)
     return svg
 
 
 def spectra(config_path, depth: int, out_path=None) -> list:
     """Restricted spectral values along Krylov bases of depth 0..depth."""
+    if depth < 0:
+        raise ConfigError(f"--depth: must be >= 0, got {depth}")
     cfg = ExperimentConfig.from_file(config_path)
     env = build_env(cfg)
     if not isinstance(env, TabularModel):
@@ -284,8 +286,7 @@ def spectra(config_path, depth: int, out_path=None) -> list:
     if out_path is None:
         out_path = Path(cfg.out_dir) / "spectra.csv"
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_atomic(out_path, text)
     return rows
 
 
@@ -311,14 +312,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _threads() -> int:
+    """Worker-pool size from KBB_THREADS (default 1)."""
+    raw = os.environ.get("KBB_THREADS", "1")
+    try:
+        threads = int(raw)
+        if threads >= 1:
+            return threads
+    except ValueError:
+        pass
+    raise ConfigError(f"KBB_THREADS: must be an integer >= 1, got {raw!r}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        threads = max(1, int(os.environ.get("KBB_THREADS", "1")))
-    except ValueError:
-        threads = 1
     out_override = os.environ.get("KBB_OUT_DIR")
     try:
+        threads = _threads()
         if args.command == "run":
             out = run_experiment(args.config, out_dir=out_override, threads=threads)
             print(f"run complete: {out}")
@@ -326,8 +336,7 @@ def main(argv=None) -> int:
             report = compare(args.dirs)
             print(report.to_markdown(), end="")
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(report.to_csv_text())
+                write_atomic(args.out, report.to_csv_text())
         elif args.command == "plot":
             plot(args.dirs, args.out)
             print(f"wrote {args.out}")

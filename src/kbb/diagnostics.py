@@ -32,7 +32,6 @@ __all__ = [
     "QOperator",
     "SpectralPair",
     "q_inner",
-    "q_norm",
     "krylov_basis",
     "krylov_projection_solution",
     "restricted_spectral_values",
@@ -95,11 +94,6 @@ def q_inner(qop: QOperator, f, g) -> float:
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     g = np.asarray(g, dtype=np.float64).reshape(-1)
     return mu_dot(f, qop.q_mat @ g, qop.mu)
-
-
-def q_norm(qop: QOperator, f) -> float:
-    val = q_inner(qop, f, f)
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def krylov_basis(qop: QOperator, depth: int) -> BasisSet:

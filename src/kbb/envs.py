@@ -13,10 +13,7 @@ lets every algorithm run unchanged.
 from __future__ import annotations
 
 import enum
-import io
-import json
 import math
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -27,7 +24,6 @@ from .values import QuadraticValueFn, TableValueFn
 
 __all__ = [
     "DrawMode",
-    "TransitionSample",
     "Dataset",
     "LqrModel",
     "ArchModel",
@@ -50,12 +46,7 @@ __all__ = [
     "nonlinear_from_z",
     "simulate_nonlinear_x",
     "simulate_linear_z",
-    "env_id",
     "env_params",
-    "save_dataset",
-    "load_dataset",
-    "dataset_to_bytes",
-    "dataset_to_csv",
 ]
 
 # Fixed by design, recorded in run metadata: spectral-radius target for the
@@ -76,15 +67,6 @@ class DrawMode(enum.Enum):
     BURN_IN_TRAJECTORY = "burn_in_trajectory"
 
 
-@dataclass(frozen=True)
-class TransitionSample:
-    """One (state, reward, next state) triple."""
-
-    state: object
-    reward: float
-    next_state: object
-
-
 class Dataset:
     """Column-oriented batch of transition triples.
 
@@ -93,7 +75,7 @@ class Dataset:
     and shape.  Rewards are deterministic functions of the state.
     """
 
-    def __init__(self, states, rewards, next_states, env_id: str, seed: int, draw_mode: DrawMode):
+    def __init__(self, states, rewards, next_states, draw_mode: DrawMode):
         states = np.asarray(states)
         next_states = np.asarray(next_states)
         rewards = np.asarray(rewards, dtype=np.float64).reshape(-1)
@@ -106,46 +88,10 @@ class Dataset:
         self.states = states
         self.rewards = rewards
         self.next_states = next_states
-        self.env_id = str(env_id)
-        self.seed = int(seed)
         self.draw_mode = draw_mode
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def n(self) -> int:
-        return len(self)
-
-    @property
-    def is_tabular(self) -> bool:
-        return self.states.ndim == 1
-
-    @property
-    def state_dim(self) -> int:
-        return 1 if self.is_tabular else self.states.shape[1]
-
-    def __getitem__(self, i: int) -> TransitionSample:
-        if self.is_tabular:
-            return TransitionSample(int(self.states[i]), float(self.rewards[i]), int(self.next_states[i]))
-        return TransitionSample(self.states[i].copy(), float(self.rewards[i]), self.next_states[i].copy())
-
-    @property
-    def samples(self) -> list:
-        return [self[i] for i in range(len(self))]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.env_id == other.env_id
-            and self.seed == other.seed
-            and self.draw_mode == other.draw_mode
-            and self.states.shape == other.states.shape
-            and np.array_equal(self.states, other.states)
-            and np.array_equal(self.rewards, other.rewards)
-            and np.array_equal(self.next_states, other.next_states)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -602,18 +548,6 @@ def _sample_arch(model: ArchModel, n: int, rng: np.random.Generator) -> tuple:
     return states, _quad_rewards(states, model.cost_mat), next_states
 
 
-def env_id(env) -> str:
-    if isinstance(env, TabularModel):
-        return f"tabular-n{env.n_states}"
-    if isinstance(env, LqrModel):
-        return f"lqr-d{env.d}"
-    if isinstance(env, NonlinearModel):
-        return "nonlinear-d3"
-    if isinstance(env, ArchModel):
-        return f"arch-d{env.d}"
-    raise ValueError(f"unsupported model kind: {type(env).__name__}")
-
-
 def env_params(env) -> dict:
     """Loggable scalar summary of a model (sizes, gamma, rescaling facts)."""
     if isinstance(env, TabularModel):
@@ -667,7 +601,7 @@ def sample_transitions(env, n: int, seed: int) -> Dataset:
         mode = DrawMode.BURN_IN_TRAJECTORY
     else:
         raise ValueError(f"unsupported model kind: {type(env).__name__}")
-    return Dataset(states, rewards, nxt, env_id=env_id(env), seed=seed, draw_mode=mode)
+    return Dataset(states, rewards, nxt, draw_mode=mode)
 
 
 def stationary_states(env, n: int, seed: int) -> np.ndarray:
@@ -720,87 +654,3 @@ def simulate_nonlinear_x(model: NonlinearModel, x0: np.ndarray, noise: np.ndarra
         z = nonlinear_to_z(out[t])
         out[t + 1] = nonlinear_from_z(m @ z + noise[t])
     return out
-
-
-# ---------------------------------------------------------------------------
-# Dataset serialization
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"MRPDATA1"
-
-
-def dataset_to_bytes(ds: Dataset) -> bytes:
-    """Binary columnar encoding: JSON header, then little-endian f64 columns."""
-    header = {
-        "env_id": ds.env_id,
-        "seed": ds.seed,
-        "n": len(ds),
-        "state_dim": ds.state_dim,
-        "draw_mode": ds.draw_mode.value,
-        "state_kind": "index" if ds.is_tabular else "point",
-    }
-    hdr = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", len(hdr)))
-    buf.write(hdr)
-    states = ds.states.astype(np.float64).reshape(len(ds), -1)
-    nxt = ds.next_states.astype(np.float64).reshape(len(ds), -1)
-    for col in states.T:
-        buf.write(col.astype("<f8").tobytes())
-    buf.write(ds.rewards.astype("<f8").tobytes())
-    for col in nxt.T:
-        buf.write(col.astype("<f8").tobytes())
-    return buf.getvalue()
-
-
-def dataset_from_bytes(raw: bytes) -> Dataset:
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise ValueError("not a dataset file (bad magic)")
-    off = len(_MAGIC)
-    (hlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    off += hlen
-    n, d = header["n"], header["state_dim"]
-    cols = np.frombuffer(raw, dtype="<f8", offset=off).reshape(2 * d + 1, n)
-    states = cols[:d].T.copy()
-    rewards = cols[d].copy()
-    nxt = cols[d + 1 :].T.copy()
-    if header["state_kind"] == "index":
-        states = states.reshape(-1).astype(np.int64)
-        nxt = nxt.reshape(-1).astype(np.int64)
-    return Dataset(
-        states,
-        rewards,
-        nxt,
-        env_id=header["env_id"],
-        seed=header["seed"],
-        draw_mode=DrawMode(header["draw_mode"]),
-    )
-
-
-def save_dataset(ds: Dataset, path):
-    with open(path, "wb") as fh:
-        fh.write(dataset_to_bytes(ds))
-
-
-def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        return dataset_from_bytes(fh.read())
-
-
-def dataset_to_csv(ds: Dataset, path):
-    """CSV export: idx, x_0..x_{d-1}, reward, xp_0..xp_{d-1}."""
-    d = ds.state_dim
-    cols = ["idx"] + [f"x_{j}" for j in range(d)] + ["reward"] + [f"xp_{j}" for j in range(d)]
-    states = ds.states.reshape(len(ds), -1)
-    nxt = ds.next_states.reshape(len(ds), -1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(ds)):
-            row = [str(i)]
-            row += [format(v, ".17g") for v in states[i]]
-            row.append(format(ds.rewards[i], ".17g"))
-            row += [format(v, ".17g") for v in nxt[i]]
-            fh.write(",".join(row) + "\n")

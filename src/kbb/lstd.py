@@ -18,15 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .envs import Dataset
 from .mrp import Distribution, TabularModel
 
 __all__ = [
     "BasisSet",
     "LstdSolution",
-    "build_lstd_system",
     "lstd_system",
-    "lstd_solve",
     "lstd_solve_population",
     "solve_linear_system",
     "span_correlation",
@@ -150,19 +147,6 @@ def lstd_system(phi: np.ndarray, phi_next: np.ndarray, rewards: np.ndarray, gamm
         n = float(phi.shape[0])
         a, b = a / n, b / n
     return a, b
-
-
-def build_lstd_system(basis: BasisSet, data: Dataset, gamma: float):
-    """Assemble the empirical LSTD system (A, b) from transition samples."""
-    if len(basis) == 0:
-        raise ValueError("basis must be nonempty")
-    return lstd_system(basis.evaluate(data.states), basis.evaluate(data.next_states), data.rewards, gamma)
-
-
-def lstd_solve(basis: BasisSet, data: Dataset, gamma: float) -> LstdSolution:
-    """Empirical LSTD coefficients over the given basis and dataset."""
-    a, b = build_lstd_system(basis, data, gamma)
-    return solve_linear_system(a, b)
 
 
 def lstd_solve_population(basis: BasisSet, model: TabularModel, mu: Distribution) -> LstdSolution:

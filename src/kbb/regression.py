@@ -13,7 +13,6 @@ Both are deterministic given (data, config, seed).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,24 +22,12 @@ from .trees import RegressionTree, leaf_values, presort
 from .values import StateValueFn, TableValueFn, as_states
 
 __all__ = [
-    "RegressionPair",
     "RegressorConfig",
     "TabularMeanFn",
     "BoostedTreesFn",
     "fit",
-    "fit_residual",
-    "fit_backup",
-    "residual_targets",
     "backup_targets",
-    "serialize_fitted",
-    "deserialize_fitted",
 ]
-
-
-@dataclass(frozen=True)
-class RegressionPair:
-    x: object
-    y: float
 
 
 @dataclass(frozen=True)
@@ -114,17 +101,10 @@ def _features(states: np.ndarray) -> np.ndarray:
 
 
 def _normalize_pairs(pairs):
-    """Accept a list of RegressionPair or an (states, targets) array pair."""
-    if isinstance(pairs, tuple) and len(pairs) == 2:
-        states, targets = pairs
-        states = as_states(states)
-        targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-    else:
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("empty regression input")
-        states = as_states(np.asarray([p.x for p in pairs]))
-        targets = np.asarray([p.y for p in pairs], dtype=np.float64)
+    """Canonical (states, targets) arrays from a (states, targets) pair."""
+    states, targets = pairs
+    states = as_states(states)
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     if states.shape[0] == 0:
         raise ValueError("empty regression input")
     if states.shape[0] != targets.shape[0]:
@@ -179,8 +159,8 @@ def _fit_boosted(states, targets, config: RegressorConfig, seed: int) -> Boosted
 def fit(pairs, config: RegressorConfig, seed: int = 0):
     """Fit the configured regressor to (state, target) pairs.
 
-    ``pairs`` is a list of RegressionPair or a tuple of (states, targets)
-    arrays.  Returns an evaluable fitted function.
+    ``pairs`` is a tuple of (states, targets) arrays.  Returns an evaluable
+    fitted function.
     """
     states, targets = _normalize_pairs(pairs)
     if config.kind == "tabular_mean":
@@ -188,73 +168,6 @@ def fit(pairs, config: RegressorConfig, seed: int = 0):
     return _fit_boosted(states, targets, config, seed)
 
 
-def residual_targets(v, data: Dataset, gamma: float) -> np.ndarray:
-    """Targets v(x) - (r + gamma v(x')) for residual regression."""
-    return v(data.states) - (data.rewards + gamma * v(data.next_states))
-
-
 def backup_targets(v, data: Dataset, gamma: float) -> np.ndarray:
     """Targets r + gamma v(x') for backup (fitted value iteration) regression."""
     return data.rewards + gamma * v(data.next_states)
-
-
-def fit_residual(v, data: Dataset, gamma: float, config: RegressorConfig, seed: int = 0):
-    """Fit the sampled Bellman residual of v on the dataset."""
-    return fit((data.states, residual_targets(v, data, gamma)), config, seed)
-
-
-def fit_backup(v, data: Dataset, gamma: float, config: RegressorConfig, seed: int = 0):
-    """Fit the sampled Bellman backup of v on the dataset."""
-    return fit((data.states, backup_targets(v, data, gamma)), config, seed)
-
-
-# ---------------------------------------------------------------------------
-# Serialization (self-describing binary blobs; internal format)
-# ---------------------------------------------------------------------------
-
-
-def serialize_fitted(fn) -> bytes:
-    buf = io.BytesIO()
-    if isinstance(fn, TabularMeanFn):
-        np.savez(buf, kind=np.array("tabular_mean"), values=fn.values, counts=fn.counts)
-    elif isinstance(fn, BoostedTreesFn):
-        payload = {
-            "kind": np.array("boosted_trees"),
-            "base_value": np.array(fn.base_value),
-            "learning_rate": np.array(fn.learning_rate),
-            "n_trees": np.array(len(fn.trees)),
-            "train_mse_path": fn.train_mse_path,
-        }
-        for i, tree in enumerate(fn.trees):
-            for key, arr in tree.to_arrays().items():
-                payload[f"tree{i}_{key}"] = arr
-            payload[f"tree{i}_max_depth"] = np.array(tree.max_depth)
-            payload[f"tree{i}_min_leaf"] = np.array(tree.min_leaf)
-        np.savez(buf, **payload)
-    else:
-        raise ValueError(f"cannot serialize {type(fn).__name__}")
-    return buf.getvalue()
-
-
-def deserialize_fitted(raw: bytes):
-    data = np.load(io.BytesIO(raw))
-    kind = str(data["kind"])
-    if kind == "tabular_mean":
-        return TabularMeanFn(data["values"], data["counts"])
-    if kind == "boosted_trees":
-        n_trees = int(data["n_trees"])
-        trees = [
-            RegressionTree.from_arrays(
-                {key: data[f"tree{i}_{key}"] for key in ("feature", "threshold", "left", "right", "value")},
-                max_depth=int(data[f"tree{i}_max_depth"]),
-                min_leaf=int(data[f"tree{i}_min_leaf"]),
-            )
-            for i in range(n_trees)
-        ]
-        return BoostedTreesFn(
-            float(data["base_value"]),
-            float(data["learning_rate"]),
-            trees,
-            data["train_mse_path"],
-        )
-    raise ValueError(f"unknown fitted-function kind: {kind!r}")

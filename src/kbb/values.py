@@ -18,7 +18,6 @@ __all__ = [
     "ConstantValueFn",
     "TableValueFn",
     "QuadraticValueFn",
-    "BasisSumValueFn",
     "ScaledValueFn",
     "as_states",
 ]
@@ -120,32 +119,6 @@ class QuadraticValueFn(StateValueFn):
     def __repr__(self):
         d = self.p_mat.shape[0]
         return f"QuadraticValueFn(d={d}, offset={self.offset:.6g})"
-
-
-class BasisSumValueFn(StateValueFn):
-    """Weighted sum of basis functions: v = sum_j coeffs[j] * funcs[j].
-
-    An empty basis is the zero function.
-    """
-
-    def __init__(self, funcs, coeffs):
-        self.funcs = list(funcs)
-        self.coeffs = np.asarray(coeffs, dtype=np.float64).reshape(-1)
-        if len(self.funcs) != self.coeffs.shape[0]:
-            raise ValueError(
-                f"basis size {len(self.funcs)} != coefficient count {self.coeffs.shape[0]}"
-            )
-
-    def __call__(self, states):
-        states = np.asarray(states)
-        n = states.shape[0]
-        out = np.zeros(n)
-        for c, f in zip(self.coeffs, self.funcs):
-            out += c * f(states)
-        return out
-
-    def __repr__(self):
-        return f"BasisSumValueFn(k={len(self.funcs)})"
 
 
 class ScaledValueFn(StateValueFn):

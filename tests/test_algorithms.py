@@ -9,7 +9,6 @@ from kbb.algorithms import (
     ErrorEvaluator,
     IterationBudget,
     derive_seed,
-    evaluate_error,
     oracle_kbb,
     run_fvi,
     run_kbb,
@@ -33,25 +32,25 @@ class TestEvaluateError:
     def test_truth_scores_zero_tabular(self):
         env = make_circular_walk(10, 0.9, 0)
         truth = true_value(env)
-        assert evaluate_error(truth, truth, env) == pytest.approx(0.0, abs=1e-14)
+        assert ErrorEvaluator(env, truth)(truth) == pytest.approx(0.0, abs=1e-14)
 
     def test_truth_scores_zero_continuous(self):
         env = make_lqr(3, 2, 0.9, 1)
         truth = true_value(env)
-        assert evaluate_error(truth, truth, env, n_eval=500, seed=3) <= 1e-12
+        assert ErrorEvaluator(env, truth, 500, 3)(truth) <= 1e-12
 
     def test_constant_shift_uniform(self):
         env = make_circular_walk(10, 0.9, 0)
         truth = true_value(env)
         shifted = TableValueFn(truth.values + 2.5)
-        assert evaluate_error(shifted, truth, env) == pytest.approx(2.5, abs=1e-12)
+        assert ErrorEvaluator(env, truth)(shifted) == pytest.approx(2.5, abs=1e-12)
 
     def test_mc_agrees_with_larger_sample(self):
         env = make_lqr(3, 2, 0.9, 2)
         truth = true_value(env)
         v = ConstantValueFn(0.0)
-        small = evaluate_error(v, truth, env, n_eval=10_000, seed=5)
-        large = evaluate_error(v, truth, env, n_eval=100_000, seed=6)
+        small = ErrorEvaluator(env, truth, 10_000, 5)(v)
+        large = ErrorEvaluator(env, truth, 100_000, 6)(v)
         assert abs(small - large) / large <= 0.05
 
 
@@ -140,11 +139,12 @@ class TestRunKbb:
 
     def test_first_fit_correlates_with_negated_reward(self):
         from kbb.envs import sample_transitions
-        from kbb.regression import fit_residual
+        from kbb.regression import fit
 
         env = make_circular_walk(30, 0.9, 2)
         data = sample_transitions(env, 50_000, 4)
-        f = fit_residual(ConstantValueFn(0.0), data, env.gamma, RegressorConfig(kind="tabular_mean"))
+        # with v0 = 0 the residual targets v0(s) - (r + gamma v0(s')) are -r
+        f = fit((data.states, -data.rewards), RegressorConfig(kind="tabular_mean"))
         got = f(np.arange(30))
         target = -env.reward
         corr = np.corrcoef(got, target)[0, 1]

@@ -174,18 +174,26 @@ class TestRunExperiment:
         ("env.n", "0", "circular walk"),
         ("algos", "vi,vi", "algos"),
         ("seeds", "1,1", "seeds"),
+        ("KBB_THREADS", "abc", "KBB_THREADS"),
+        ("KBB_THREADS", "0", "KBB_THREADS"),
+        ("KBB_THREADS", "-3", "KBB_THREADS"),
     ], ids=["env.kind", "seeds", "budget.n_per_iter", "env.gamma", "env.n",
-            "algos-repeated", "seeds-repeated"])
-    def test_cli_exit_codes(self, tmp_path, capsys, key, value, named):
+            "algos-repeated", "seeds-repeated", "KBB_THREADS-abc", "KBB_THREADS-0", "KBB_THREADS--3"])
+    def test_cli_exit_codes(self, tmp_path, capsys, monkeypatch, key, value, named):
         # an invalid value exits 2 before any output directory is created
         lines = [ln for ln in MINIMAL_VI.format(out=tmp_path / "o").splitlines()
                  if not ln.startswith(f"{key} =")]
+        if key == "KBB_THREADS":
+            monkeypatch.setenv(key, value)
+        else:
+            lines.append(f"{key} = {value}")
         bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        bad.write_text("\n".join(lines) + "\n")
         assert main(["run", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and named in err
         assert not (tmp_path / "o").exists()
+        monkeypatch.delenv("KBB_THREADS", raising=False)
         good = write_config(tmp_path, MINIMAL_VI)
         assert main(["run", str(good)]) == 0
 
@@ -328,6 +336,13 @@ class TestSpectra:
         for t, lo, hi, _ in rows:
             assert 1 - 0.9 - 1e-9 <= lo <= hi <= 1 + 0.9 + 1e-9
 
+    def test_negative_depth_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, MINIMAL_VI)
+        assert main(["spectra", str(cfg_path), "--depth", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "--depth" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_non_reversible_exit_2(self, tmp_path):
         text = MINIMAL_VI.replace("circular", "random_tabular")
         cfg_path = write_config(tmp_path, text)
@@ -343,3 +358,27 @@ class TestSpectra:
         rows = spectra(cfg_path, 3, tmp_path / "s.csv")
         pair = restricted_spectral_values(QOperator(env), BasisSet([]))
         assert rows[0][1] == pytest.approx(pair.mineig, abs=1e-12)
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", ["spectra", "plot", "compare"])
+    def test_failed_replace_keeps_earlier_file(self, tmp_path, monkeypatch, command):
+        # each output goes through the atomic write: a failed rename leaves
+        # the earlier file as it was and no temporary sibling behind
+        cfg_path = write_config(tmp_path, MINIMAL_VI)
+        runs = run_experiment(cfg_path)
+        target = tmp_path / "result.out"
+        target.write_text("earlier\n")
+        argv = {
+            "spectra": ["spectra", str(cfg_path), "--depth", "3"],
+            "plot": ["plot", str(runs)],
+            "compare": ["compare", str(runs)],
+        }[command] + ["--out", str(target)]
+
+        def boom(src, dst):
+            raise OSError("synthetic rename failure")
+
+        monkeypatch.setattr("kbb.records.os.replace", boom)
+        assert main(argv) == 1
+        assert target.read_text() == "earlier\n"
+        assert list(tmp_path.glob("*.tmp")) == []

@@ -13,7 +13,6 @@ from kbb.diagnostics import (
     krylov_projection_solution,
     oracle_kbb,
     q_inner,
-    q_norm,
     restricted_spectral_values,
     spectra_table,
     theorem_bound,

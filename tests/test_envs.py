@@ -15,10 +15,6 @@ from kbb.envs import (
     LqrModel,
     arch_contraction_factor,
     arch_true_value,
-    dataset_from_bytes,
-    dataset_to_bytes,
-    dataset_to_csv,
-    load_dataset,
     lqr_true_value,
     make_arch,
     make_circular_walk,
@@ -29,7 +25,6 @@ from kbb.envs import (
     nonlinear_to_z,
     nonlinear_true_value,
     sample_transitions,
-    save_dataset,
     simulate_linear_z,
     simulate_nonlinear_x,
     stationary_covariance,
@@ -259,9 +254,10 @@ class TestSampling:
     def test_same_seed_identical_bytes(self):
         for env in (make_circular_walk(8, 0.9, 0), make_lqr(3, 2, 0.9, 1),
                     make_nonlinear(0.9, 2), make_arch(3, 0.5, 0.9, 3)):
-            a = dataset_to_bytes(sample_transitions(env, 64, 11))
-            b = dataset_to_bytes(sample_transitions(env, 64, 11))
-            assert a == b
+            a = sample_transitions(env, 64, 11)
+            b = sample_transitions(env, 64, 11)
+            for name in ("states", "rewards", "next_states"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_lqr_stationary_covariance(self):
         m = make_lqr(4, 2, 0.9, 6)
@@ -506,50 +502,12 @@ class TestGroundTruthBellmanConsistency:
         assert ok.mean() >= 0.95
 
 
-class TestSerialization:
-    def test_round_trip_tabular(self, tmp_path):
-        ds = sample_transitions(make_circular_walk(8, 0.9, 0), 100, 5)
-        path = tmp_path / "ds.bin"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back == ds
-
-    def test_round_trip_continuous(self, tmp_path):
-        ds = sample_transitions(make_lqr(3, 2, 0.9, 1), 100, 5)
-        back = dataset_from_bytes(dataset_to_bytes(ds))
-        assert back == ds
-        assert back.draw_mode is DrawMode.EXACT_STATIONARY
-
-    def test_csv_export_columns(self, tmp_path):
-        ds = sample_transitions(make_lqr(2, 1, 0.9, 1), 10, 5)
-        path = tmp_path / "ds.csv"
-        dataset_to_csv(ds, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "idx,x_0,x_1,reward,xp_0,xp_1"
-        assert len(lines) == 11
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == ds.states[0, 0]
-
-    def test_csv_export_tabular(self, tmp_path):
-        ds = sample_transitions(make_circular_walk(6, 0.9, 0), 4, 1)
-        path = tmp_path / "ds.csv"
-        dataset_to_csv(ds, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "idx,x_0,reward,xp_0"
-        assert len(lines) == 5
-
-    def test_sample_access(self):
-        ds = sample_transitions(make_circular_walk(8, 0.9, 0), 5, 1)
-        s = ds[0]
-        assert isinstance(s.state, int) and isinstance(s.next_state, int)
-        assert len(ds.samples) == 5
-
+class TestDataset:
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
-            envs.Dataset(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), "x", 0, DrawMode.EXACT_STATIONARY)
+            envs.Dataset(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), DrawMode.EXACT_STATIONARY)
         with pytest.raises(ValueError):
-            envs.Dataset(np.zeros(3, dtype=np.int64), np.zeros(3), np.zeros((3, 2)), "x", 0, DrawMode.EXACT_STATIONARY)
+            envs.Dataset(np.zeros(3, dtype=np.int64), np.zeros(3), np.zeros((3, 2)), DrawMode.EXACT_STATIONARY)
 
 
 class TestModelValidation:

@@ -7,14 +7,13 @@ from kbb.diagnostics import QOperator, krylov_basis, q_inner
 from kbb.envs import Dataset, DrawMode, make_circular_walk, sample_transitions
 from kbb.lstd import (
     BasisSet,
-    build_lstd_system,
-    lstd_solve,
     lstd_solve_population,
+    lstd_system,
     solve_linear_system,
     span_correlation,
 )
 from kbb.mrp import TabularModel, mu_dot, solve_exact, stationary_distribution
-from kbb.values import BasisSumValueFn, ConstantValueFn, TableValueFn
+from kbb.values import ConstantValueFn, TableValueFn
 
 
 def tiny_dataset():
@@ -22,7 +21,12 @@ def tiny_dataset():
     states = np.array([0, 1, 0], dtype=np.int64)
     rewards = np.array([1.0, 0.5, 1.0])
     next_states = np.array([1, 0, 0], dtype=np.int64)
-    return Dataset(states, rewards, next_states, "hand", 0, DrawMode.EXACT_STATIONARY)
+    return Dataset(states, rewards, next_states, DrawMode.EXACT_STATIONARY)
+
+
+def empirical_system(basis, data, gamma):
+    # the sampled LSTD system as run_kbb assembles it
+    return lstd_system(basis.evaluate(data.states), basis.evaluate(data.next_states), data.rewards, gamma)
 
 
 class TestBuildSystem:
@@ -30,7 +34,7 @@ class TestBuildSystem:
         env = make_circular_walk(8, 0.9, 0)
         data = sample_transitions(env, 500, 1)
         basis = BasisSet([ConstantValueFn(1.0)])
-        a, b = build_lstd_system(basis, data, env.gamma)
+        a, b = empirical_system(basis, data, env.gamma)
         assert a.shape == (1, 1) and b.shape == (1,)
         assert a[0, 0] == pytest.approx(1 - env.gamma, abs=1e-12)
         assert b[0] == pytest.approx(data.rewards.mean(), abs=1e-12)
@@ -38,7 +42,7 @@ class TestBuildSystem:
     def test_gamma_zero_gives_gram_matrix(self):
         data = tiny_dataset()
         basis = BasisSet([TableValueFn([1.0, 2.0]), TableValueFn([0.5, -1.0])])
-        a, _ = build_lstd_system(basis, data, 0.0)
+        a, _ = empirical_system(basis, data, 0.0)
         phi = basis.evaluate(data.states)
         assert np.allclose(a, phi.T @ phi / 3)
 
@@ -52,7 +56,7 @@ class TestBuildSystem:
         phi_next = np.array([[2.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         a_hand = phi.T @ (phi - gamma * phi_next) / 3
         b_hand = phi.T @ data.rewards / 3
-        a, b = build_lstd_system(basis, data, gamma)
+        a, b = empirical_system(basis, data, gamma)
         assert np.allclose(a, a_hand, atol=1e-15)
         assert np.allclose(b, b_hand, atol=1e-15)
 
@@ -128,7 +132,7 @@ class TestEmpiricalSolve:
         basis = krylov_basis(qop, 3)
         pop = lstd_solve_population(basis, env, mu)
         data = sample_transitions(env, 1_000_000, 9)
-        emp = lstd_solve(basis, data, env.gamma)
+        emp = solve_linear_system(*empirical_system(basis, data, env.gamma))
         scale = np.abs(pop.coeffs).max()
         assert np.abs(emp.coeffs - pop.coeffs).max() <= 0.05 * scale
 
@@ -137,21 +141,21 @@ class TestEmpiricalSolve:
         data = sample_transitions(env, 5000, 11)
         rng = np.random.default_rng(1)
         funcs = [TableValueFn(rng.normal(size=12)) for _ in range(3)]
-        sol1 = lstd_solve(BasisSet(funcs), data, env.gamma)
+        sol1 = solve_linear_system(*empirical_system(BasisSet(funcs), data, env.gamma))
         c = 7.5
         scaled = [TableValueFn(c * f.values) for f in funcs]
-        sol2 = lstd_solve(BasisSet(scaled), data, env.gamma)
+        sol2 = solve_linear_system(*empirical_system(BasisSet(scaled), data, env.gamma))
         assert sol1.ridge_used == 0.0 and sol2.ridge_used == 0.0
         assert np.abs(sol2.coeffs - sol1.coeffs / c).max() <= 1e-9 * np.abs(sol1.coeffs / c).max() + 1e-12
-        v1 = BasisSumValueFn(funcs, sol1.coeffs)(np.arange(12))
-        v2 = BasisSumValueFn(scaled, sol2.coeffs)(np.arange(12))
+        v1 = BasisSet(funcs).evaluate(np.arange(12)) @ sol1.coeffs
+        v2 = BasisSet(scaled).evaluate(np.arange(12)) @ sol2.coeffs
         assert np.abs(v1 - v2).max() <= 1e-9
 
     def test_ridge_fallback_on_duplicate_basis(self):
         env = make_circular_walk(12, 0.9, 8)
         data = sample_transitions(env, 2000, 13)
         f = TableValueFn(np.arange(12.0))
-        sol = lstd_solve(BasisSet([f, f]), data, env.gamma)
+        sol = solve_linear_system(*empirical_system(BasisSet([f, f]), data, env.gamma))
         assert sol.ridge_used > 0.0
         assert np.isfinite(sol.coeffs).all()
 

@@ -1,32 +1,20 @@
-"""Regression backends: tabular means, boosted trees, residual/backup targets."""
+"""Regression backends: tabular means, boosted trees, backup targets."""
 
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kbb.envs import make_circular_walk, sample_transitions
 from kbb.mrp import solve_exact
-from kbb.regression import (
-    RegressionPair,
-    RegressorConfig,
-    backup_targets,
-    deserialize_fitted,
-    fit,
-    fit_backup,
-    fit_residual,
-    residual_targets,
-    serialize_fitted,
-)
+from kbb.regression import RegressorConfig, backup_targets, fit
 from kbb.trees import RegressionTree, best_split, leaf_values
 from kbb.values import TableValueFn
 
 
 class TestTabularMean:
     def test_sample_mean(self):
-        f = fit([RegressionPair(0, 1.0), RegressionPair(0, 3.0)], RegressorConfig(kind="tabular_mean"))
+        f = fit((np.array([0, 0]), np.array([1.0, 3.0])), RegressorConfig(kind="tabular_mean"))
         assert f(np.array([0]))[0] == pytest.approx(2.0)
 
     def test_unvisited_states_are_zero(self):
@@ -317,14 +305,8 @@ class TestBoostedTrees:
         assert np.mean((f(states) - y) ** 2) < 1e-3
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            fit([], RegressorConfig())
-
-    def test_pair_list_with_continuous_points(self):
-        pairs = [RegressionPair(np.array([0.0, 1.0]), 1.0), RegressionPair(np.array([1.0, 0.0]), -1.0)]
-        f = fit(pairs, RegressorConfig(n_trees=5))
-        out = f(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert out.shape == (2,)
+        with pytest.raises(ValueError, match="empty"):
+            fit((np.zeros((0, 2)), np.zeros(0)), RegressorConfig())
 
     def test_non_finite_targets_rejected(self):
         with pytest.raises(ValueError):
@@ -336,67 +318,20 @@ class TestTargets:
         self.env = make_circular_walk(12, 0.9, 0)
         self.data = sample_transitions(self.env, 400, 3)
 
-    def test_zero_function_residual_targets_are_minus_rewards(self):
-        v = TableValueFn(np.zeros(12))
-        t = residual_targets(v, self.data, self.env.gamma)
-        assert np.allclose(t, -self.data.rewards)
-
-    def test_gamma_zero_residual_has_no_next_state_term(self):
-        v = TableValueFn(np.arange(12.0))
-        t = residual_targets(v, self.data, 0.0)
-        assert np.allclose(t, v(self.data.states) - self.data.rewards)
-
     def test_backup_of_zero_approximates_reward(self):
         v = TableValueFn(np.zeros(12))
-        f = fit_backup(v, self.data, self.env.gamma, RegressorConfig(kind="tabular_mean"))
+        targets = backup_targets(v, self.data, self.env.gamma)
+        f = fit((self.data.states, targets), RegressorConfig(kind="tabular_mean"))
         seen = np.unique(self.data.states)
         assert np.abs(f(seen) - self.env.reward[seen]).max() <= 1e-12
-
-    def test_target_identity(self):
-        v = TableValueFn(np.arange(12.0) ** 2)
-        rt = residual_targets(v, self.data, self.env.gamma)
-        bt = backup_targets(v, self.data, self.env.gamma)
-        assert np.abs(rt + bt - v(self.data.states)).max() <= 1e-12
 
     def test_residual_of_truth_vanishes_statistically(self):
         env = make_circular_walk(20, 0.9, 1)
         data = sample_transitions(env, 100_000, 7)
         v_star = TableValueFn(solve_exact(env))
-        f = fit_residual(v_star, data, env.gamma, RegressorConfig(kind="tabular_mean"))
-        targets = residual_targets(v_star, data, env.gamma)
+        targets = v_star(data.states) - (data.rewards + env.gamma * v_star(data.next_states))
+        f = fit((data.states, targets), RegressorConfig(kind="tabular_mean"))
         for s in range(20):
             mask = data.states == s
             stderr = targets[mask].std(ddof=1) / np.sqrt(mask.sum())
             assert abs(f(np.array([s]))[0]) <= 5 * max(stderr, 1e-12)
-
-
-class TestSerialization:
-    def test_tabular_round_trip(self):
-        f = fit((np.array([0, 0, 3]), np.array([1.0, 2.0, -1.0])), RegressorConfig(kind="tabular_mean"))
-        g = deserialize_fitted(serialize_fitted(f))
-        states = np.arange(6)
-        assert np.array_equal(f(states), g(states))
-
-    def test_boosted_round_trip(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(150, 2))
-        y = x[:, 0] * x[:, 1]
-        f = fit((x, y), RegressorConfig(n_trees=15, max_depth=3, min_leaf=5))
-        g = deserialize_fitted(serialize_fitted(f))
-        grid = rng.normal(size=(40, 2))
-        assert np.array_equal(f(grid), g(grid))
-        assert len(g.trees) == 15
-        for tree in g.trees:
-            assert (tree.max_depth, tree.min_leaf) == (3, 5)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_target_identity_property(seed):
-    env = make_circular_walk(8, 0.9, seed % 17)
-    data = sample_transitions(env, 50, seed)
-    rng = np.random.default_rng(seed)
-    v = TableValueFn(rng.normal(size=8))
-    rt = residual_targets(v, data, env.gamma)
-    bt = backup_targets(v, data, env.gamma)
-    assert np.abs(rt + bt - v(data.states)).max() <= 1e-10

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kbb.values import (
-    BasisSumValueFn,
     ConstantValueFn,
     QuadraticValueFn,
     ScaledValueFn,
@@ -54,20 +53,6 @@ def test_quadratic_requires_symmetry():
 def test_quadratic_coord_map():
     f = QuadraticValueFn(np.eye(2), coord_map=lambda x: 2.0 * x)
     assert np.allclose(f(np.array([[1.0, 0.0]])), 4.0)
-
-
-def test_basis_sum_and_empty():
-    f1 = TableValueFn([1.0, 0.0])
-    f2 = TableValueFn([0.0, 1.0])
-    bs = BasisSumValueFn([f1, f2], [2.0, 3.0])
-    assert np.allclose(bs(np.array([0, 1])), [2.0, 3.0])
-    zero = BasisSumValueFn([], [])
-    assert np.allclose(zero(np.array([0, 1])), 0.0)
-
-
-def test_basis_sum_length_mismatch():
-    with pytest.raises(ValueError):
-        BasisSumValueFn([ConstantValueFn(1.0)], [1.0, 2.0])
 
 
 def test_scaled():
