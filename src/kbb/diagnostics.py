@@ -228,11 +228,12 @@ def spectra_table(model: TabularModel, max_depth: int) -> list[tuple[int, float,
     qop.require_reversible()
     full = krylov_basis(qop, min(max_depth, qop.n_states - 1))
     rows = []
-    for t in range(0, max_depth + 1):
-        sub = BasisSet(list(full)[: min(t, len(full))])
+    for t in range(0, len(full) + 1):
         try:
-            pair = restricted_spectral_values(qop, sub)
+            pair = restricted_spectral_values(qop, BasisSet(list(full)[:t]))
         except ValueError:
-            break
+            return rows
         rows.append((t, pair.mineig, pair.maxeig, theorem_bound(pair)))
+    # Past saturation every depth has the full basis, so the same row.
+    rows.extend((t, *rows[-1][1:]) for t in range(len(full) + 1, max_depth + 1))
     return rows

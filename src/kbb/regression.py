@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import Dataset
-from .trees import RegressionTree, leaf_values, presort
+from .trees import BLOCK_CELLS, RegressionTree, node_table, presort, walk
 from .values import StateValueFn, TableValueFn, as_states
 
 __all__ = [
@@ -67,9 +67,10 @@ class TabularMeanFn(TableValueFn):
 class BoostedTreesFn(StateValueFn):
     """Additive tree ensemble: base value plus learning_rate-weighted trees.
 
-    Evaluation walks all trees at once through ``trees.leaf_values``, chunked
-    over rows so the traversal frontier stays cache-resident; each chunk's
-    (rows, trees) leaf matrix is summed along its rows.
+    Evaluation stacks the trees' nodes once per call and walks all trees at
+    once through ``trees.walk``, in blocks of about ``trees.BLOCK_CELLS`` rows
+    x trees so the walk stays cache-resident; each block's (rows, trees) leaf
+    matrix is summed along its rows.
     """
 
     def __init__(self, base_value: float, learning_rate: float, trees, train_mse_path):
@@ -83,10 +84,11 @@ class BoostedTreesFn(StateValueFn):
         n = x.shape[0]
         if not self.trees:
             return np.full(n, self.base_value)
-        chunk = max(1, (1 << 21) // len(self.trees))
+        table = node_table(self.trees)
+        block = max(1, BLOCK_CELLS // len(self.trees))
         out = np.empty(n)
-        for start in range(0, n, chunk):
-            out[start : start + chunk] = leaf_values(self.trees, x[start : start + chunk]).sum(axis=1)
+        for start in range(0, n, block):
+            out[start : start + block] = walk(table, x[start : start + block]).sum(axis=1)
         return self.base_value + self.learning_rate * out
 
     def __repr__(self):
@@ -136,7 +138,9 @@ def _fit_boosted(states, targets, config: RegressorConfig, seed: int) -> Boosted
     trees = []
     mse_path = [float(np.mean(residual**2))]
     order = presort(x)
+    step = np.empty(n)  # the new tree's values on x
     for _ in range(config.n_trees):
+        tree = RegressionTree(config.max_depth, config.min_leaf)
         if config.subsample < 1.0:
             k = max(1, int(round(config.subsample * n)))
             rows = np.sort(rng.permutation(n)[:k])
@@ -145,11 +149,14 @@ def _fit_boosted(states, targets, config: RegressorConfig, seed: int) -> Boosted
             pos = np.full(n, -1)
             pos[rows] = np.arange(k)
             sub = pos[order]
-            tree_order = sub[sub >= 0].reshape(order.shape[0], k)
+            fitted = np.empty(k)
+            tree.fit(x[rows], residual[rows], sub[sub >= 0].reshape(order.shape[0], k), fitted)
+            step[rows] = fitted
+            rest = pos < 0  # only the rows left out are walked
+            step[rest] = tree.predict(x[rest])
         else:
-            rows, tree_order = slice(None), order
-        tree = RegressionTree(config.max_depth, config.min_leaf).fit(x[rows], residual[rows], tree_order)
-        pred += config.learning_rate * tree.predict(x)
+            tree.fit(x, residual, order, step)
+        pred += config.learning_rate * step
         residual = targets - pred
         trees.append(tree)
         mse_path.append(float(np.mean(residual**2)))

@@ -10,16 +10,25 @@ ensemble when a booster passes the orders in), and every split
 stable-partitions those orders into its children, so no node sorts.  The
 stable order of a node's rows is the node's subset of the global stable
 order, so the trees are those of a per-node stable argsort, bit for bit.
+``best_split`` searches all of a node's features in one call.
 
-``leaf_values`` is the one traversal, under both ``RegressionTree.predict``
-and the evaluation of a boosted ensemble.
+A fit allocates each node's two children next to each other, so the walk
+needs only ``right``: one step is ``right - (x <= threshold)``, and leaves
+loop to themselves behind NaN thresholds.  ``walk`` runs all trees of a
+``node_table`` at once.  ``leaf_values`` builds the table and walks it for
+``RegressionTree.predict``; a boosted ensemble builds it once per evaluation
+and walks it block by block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RegressionTree", "best_split", "leaf_values", "presort"]
+__all__ = ["BLOCK_CELLS", "RegressionTree", "best_split", "leaf_values", "node_table", "presort", "walk"]
+
+# Rows x trees walked per block of an ensemble evaluation: the block's index
+# arrays stay within L2.
+BLOCK_CELLS = 1 << 15
 
 
 def presort(x: np.ndarray) -> np.ndarray:
@@ -28,58 +37,70 @@ def presort(x: np.ndarray) -> np.ndarray:
 
 
 def best_split(sv: np.ndarray, sy: np.ndarray, min_leaf: int):
-    """Best SSE-reducing split of one feature column, given sorted.
+    """Best SSE-reducing split of one node, over all its features at once.
 
-    ``sv`` holds the feature values in stable ascending order and ``sy`` the
-    targets in the same order.  Returns (score, threshold) where score =
-    sum_L^2/n_L + sum_R^2/n_R is to be maximized (total sum of squares is
-    constant), or None when no valid split exists.  The first maximizer in
-    sorted order is returned, i.e. the smallest threshold.
+    Row f of ``sv`` holds the node's values of feature f in stable ascending
+    order and row f of ``sy`` the targets in the same order.  Returns (score,
+    feature, threshold) where score = sum_L^2/n_L + sum_R^2/n_R is to be
+    maximized (total sum of squares is constant), or None when no valid split
+    exists.  Only the cuts leaving ``min_leaf`` rows on each side are scored;
+    a cut between equal values scores -inf.  The first maximizer wins: the
+    lowest feature, then the smallest threshold.
     """
-    n = sv.shape[0]
+    n = sv.shape[1]
     if n < 2 * min_leaf:
         return None
-    csum = np.cumsum(sy)
-    total = csum[-1]
-    i = np.arange(n - 1)
-    n_left = i + 1
-    n_right = n - n_left
-    valid = (sv[:-1] < sv[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
+    lo, hi = min_leaf - 1, n - min_leaf  # cut c in [lo, hi) sends sorted rows 0..c left
+    csum = np.cumsum(sy, axis=1)
+    left_sum = csum[:, lo:hi]
+    n_left = np.arange(lo + 1, hi + 1)
+    score = left_sum**2 / n_left + (csum[:, -1:] - left_sum) ** 2 / (n - n_left)
+    score[~(sv[:, lo:hi] < sv[:, lo + 1 : hi + 1])] = -np.inf
+    # The first maximum in row-major order: lowest feature, then first cut.
+    f, j = divmod(int(score.argmax()), hi - lo)
+    if score[f, j] == -np.inf:
         return None
-    left_sum = csum[:-1]
-    score = np.where(valid, left_sum**2 / n_left + (total - left_sum) ** 2 / n_right, -np.inf)
-    j = int(np.argmax(score))
-    return float(score[j]), float(0.5 * (sv[j] + sv[j + 1]))
+    return float(score[f, j]), f, float(0.5 * (sv[f, lo + j] + sv[f, lo + j + 1]))
 
 
-def leaf_values(trees, x: np.ndarray) -> np.ndarray:
-    """(rows, trees) matrix of the leaf value each row of x reaches in each tree.
+def node_table(trees) -> tuple:
+    """The stacked nodes of all trees, as ``walk`` reads them.
 
-    All trees are walked at once on one stacked node table, built per call, in
-    which leaves loop to themselves behind +inf thresholds.  The walk takes as
-    many steps as the deepest tree has levels of internal nodes, counted from
-    the node arrays.
+    Returns (roots, feature, threshold, right, value, depth); leaves have
+    feature 0, a NaN threshold and ``right`` pointing at themselves, and
+    depth counts the levels of internal nodes of the deepest tree.
     """
     offsets = np.cumsum([0] + [t.feature.shape[0] for t in trees[:-1]])
     feature = np.concatenate([t.feature for t in trees])
     is_leaf = feature < 0
-    node_ids = np.arange(feature.shape[0])
-    feature = np.where(is_leaf, 0, feature)
-    threshold = np.where(is_leaf, np.inf, np.concatenate([t.threshold for t in trees]))
-    left = np.where(is_leaf, node_ids, np.concatenate([t.left + off for t, off in zip(trees, offsets)]))
-    right = np.where(is_leaf, node_ids, np.concatenate([t.right + off for t, off in zip(trees, offsets)]))
+    right = np.concatenate([t.right + off for t, off in zip(trees, offsets)])
+    right = np.where(is_leaf, np.arange(feature.shape[0]), right)
+    threshold = np.where(is_leaf, np.nan, np.concatenate([t.threshold for t in trees]))
     depth = 0
     frontier = offsets[~is_leaf[offsets]]
     while frontier.size:
         depth += 1
-        children = np.concatenate([left[frontier], right[frontier]])
+        children = np.concatenate([right[frontier] - 1, right[frontier]])
         frontier = children[~is_leaf[children]]
-    rows = np.arange(x.shape[0])[:, None]
-    idx = np.broadcast_to(offsets, (x.shape[0], len(trees)))
+    value = np.concatenate([t.value for t in trees])
+    return offsets, np.where(is_leaf, 0, feature), threshold, right, value, depth
+
+
+def walk(table: tuple, x: np.ndarray) -> np.ndarray:
+    """(rows, trees) matrix of the leaf value each row of x reaches in each
+    tree of ``table``; a row equal to a threshold goes left, a NaN goes right."""
+    roots, feature, threshold, right, value, depth = table
+    flat = np.ascontiguousarray(x).reshape(-1)
+    base = (np.arange(x.shape[0]) * x.shape[1])[:, None]
+    idx = np.broadcast_to(roots, (x.shape[0], roots.shape[0]))
     for _ in range(depth):
-        idx = np.where(x[rows, feature[idx]] <= threshold[idx], left[idx], right[idx])
-    return np.concatenate([t.value for t in trees])[idx]
+        idx = right[idx] - (flat[base + feature[idx]] <= threshold[idx])
+    return value[idx]
+
+
+def leaf_values(trees, x: np.ndarray) -> np.ndarray:
+    """(rows, trees) matrix of the leaf value each row of x reaches in each tree."""
+    return walk(node_table(trees), x)
 
 
 class RegressionTree:
@@ -94,11 +115,16 @@ class RegressionTree:
         self.right: np.ndarray | None = None
         self.value: np.ndarray | None = None
 
-    def fit(self, x: np.ndarray, y: np.ndarray, order: np.ndarray | None = None) -> "RegressionTree":
+    def fit(self, x: np.ndarray, y: np.ndarray, order: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> "RegressionTree":
         """Grow the tree on (x, y); ``order`` is ``presort(x)``, computed here
-        when not given."""
+        when not given.  Each leaf writes its value into its rows of ``out``,
+        when given, which so ends up equal to ``predict(x)``."""
         if order is None:
             order = presort(x)
+        # Feature-major copy of x: a node's sorted values are one flat gather.
+        xt = np.ascontiguousarray(x.T).reshape(-1)
+        shift = (np.arange(x.shape[1]) * x.shape[0])[:, None]
         row_left = np.empty(x.shape[0], dtype=bool)  # by row of x, at the split
         feature, threshold, left, right, value = [], [], [], [], []
 
@@ -116,23 +142,17 @@ class RegressionTree:
         stack = [(new_node(), np.arange(x.shape[0]), order, 0)]
         while stack:
             node, rows, orders, depth = stack.pop()
-            ysub = y[rows]
-            value[node] = float(ysub.mean())
-            if depth >= self.max_depth or rows.shape[0] < 2 * self.min_leaf:
-                continue
-            best = None
-            for f in range(x.shape[1]):
-                cand = best_split(x[orders[f], f], y[orders[f]], self.min_leaf)
-                if cand is None:
-                    continue
-                if best is None or cand[0] > best[0]:
-                    best = (cand[0], f, cand[1])
-            if best is None:
-                continue
-            score, f, thr = best
             n = rows.shape[0]
-            if score - float(ysub.sum()) ** 2 / n <= 0.0:
-                continue  # no SSE reduction: keep the leaf
+            ysum = y[rows].sum()
+            value[node] = float(ysum / n)
+            best = None
+            if depth < self.max_depth and n >= 2 * self.min_leaf:
+                best = best_split(xt[orders + shift], y[orders], self.min_leaf)
+            if best is None or best[0] - float(ysum) ** 2 / n <= 0.0:
+                if out is not None:  # a leaf, possibly for want of an SSE reduction
+                    out[rows] = value[node]
+                continue
+            _, f, thr = best
             go_left = x[rows, f] <= thr
             feature[node] = f
             threshold[node] = thr
@@ -176,4 +196,10 @@ class RegressionTree:
         tree.left = np.asarray(arrays["left"], dtype=np.int64)
         tree.right = np.asarray(arrays["right"], dtype=np.int64)
         tree.value = np.asarray(arrays["value"], dtype=np.float64)
+        # The walk reads only ``right``, so an internal node's children must
+        # be adjacent, and later in the arrays so that every walk ends.
+        inner = np.flatnonzero(tree.feature >= 0)
+        left, right = tree.left[inner], tree.right[inner]
+        if not (np.all(right == left + 1) and np.all(left > inner) and np.all(right < tree.feature.shape[0])):
+            raise ValueError("each internal node needs children left > node and right == left + 1, in range")
         return tree

@@ -258,6 +258,27 @@ class TestSpectraTable:
             assert 1 - 0.9 - 1e-9 <= lo <= hi <= 1 + 0.9 + 1e-9
             assert bound == pytest.approx(1 - lo**2 / (8 * hi), abs=1e-12)
 
+    def test_rows_past_saturation_reuse_one_solve(self, monkeypatch):
+        import kbb.diagnostics as diagnostics
+
+        env = make_circular_walk(20, 0.9, 16)
+        qop = QOperator(env)
+        full = krylov_basis(qop, 19)
+        assert len(full) < 19  # the walk's Krylov space saturates early
+        calls = []
+
+        def counting(qop, basis):
+            calls.append(len(basis))
+            return restricted_spectral_values(qop, basis)
+
+        monkeypatch.setattr(diagnostics, "restricted_spectral_values", counting)
+        rows = spectra_table(env, 2000)
+        assert calls == list(range(len(full) + 1))
+        assert [r[0] for r in rows] == list(range(2001))
+        pair = restricted_spectral_values(qop, full)
+        for t, lo, hi, bound in rows[len(full):]:
+            assert (lo, hi, bound) == (pair.mineig, pair.maxeig, theorem_bound(pair))
+
     def test_depth_zero_row_is_empty_basis(self):
         env = make_circular_walk(20, 0.9, 16)
         qop = QOperator(env)

@@ -8,7 +8,7 @@ import pytest
 from kbb.envs import make_circular_walk, sample_transitions
 from kbb.mrp import solve_exact
 from kbb.regression import RegressorConfig, backup_targets, fit
-from kbb.trees import RegressionTree, best_split, leaf_values
+from kbb.trees import BLOCK_CELLS, RegressionTree, best_split, leaf_values
 from kbb.values import TableValueFn
 
 
@@ -47,42 +47,65 @@ class TestTabularMean:
 
 class TestBestSplitOracle:
     def brute_force(self, x, y, min_leaf):
+        """(score, feature, threshold) over the columns of x; on equal scores
+        the first feature found keeps the split."""
         best = None
-        order = np.argsort(x, kind="stable")
-        sv, sy = x[order], y[order]
-        for i in range(len(x) - 1):
-            if sv[i] >= sv[i + 1]:
-                continue
-            nl, nr = i + 1, len(x) - i - 1
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            score = sy[: i + 1].sum() ** 2 / nl + sy[i + 1 :].sum() ** 2 / nr
-            if best is None or score > best[0] + 1e-12:
-                best = (score, 0.5 * (sv[i] + sv[i + 1]))
+        for f in range(x.shape[1]):
+            order = np.argsort(x[:, f], kind="stable")
+            sv, sy = x[order, f], y[order]
+            for i in range(len(sv) - 1):
+                if sv[i] >= sv[i + 1]:
+                    continue
+                nl, nr = i + 1, len(sv) - i - 1
+                if nl < min_leaf or nr < min_leaf:
+                    continue
+                score = sy[: i + 1].sum() ** 2 / nl + sy[i + 1 :].sum() ** 2 / nr
+                if best is None or score > best[0] + 1e-12:
+                    best = (score, f, 0.5 * (sv[i] + sv[i + 1]))
         return best
+
+    def sorted_node(self, x, y):
+        order = np.argsort(x.T, axis=1, kind="stable")
+        return np.take_along_axis(x.T, order, axis=1), y[order]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.uniform(-1, 1, size=80)
-        y = (x > 0).astype(float) + 0.1 * rng.normal(size=80)
-        order = np.argsort(x, kind="stable")
-        got = best_split(x[order], y[order], min_leaf=5)
+        x = rng.uniform(-1, 1, size=(80, 1))
+        y = (x[:, 0] > 0).astype(float) + 0.1 * rng.normal(size=80)
+        got = best_split(*self.sorted_node(x, y), min_leaf=5)
         want = self.brute_force(x, y, min_leaf=5)
         assert got is not None
         assert got[0] == pytest.approx(want[0])
-        assert got[1] == pytest.approx(want[1])
+        assert got[1] == want[1] == 0
+        assert got[2] == pytest.approx(want[2])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_exhaustive_oracle_across_features(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.uniform(-1, 1, size=(80, 3)), 1)
+        y = (x[:, seed % 3] > 0).astype(float) + 0.1 * rng.normal(size=80)
+        got = best_split(*self.sorted_node(x, y), min_leaf=5)
+        want = self.brute_force(x, y, min_leaf=5)
+        assert got[0] == pytest.approx(want[0])
+        assert got[1] == want[1]
+        assert got[2] == pytest.approx(want[2])
 
     def test_no_split_on_constant_feature(self):
-        assert best_split(np.ones(20), np.arange(20.0), 1) is None
+        assert best_split(np.ones((1, 20)), np.arange(20.0)[None], 1) is None
+        assert best_split(np.ones((2, 20)), np.tile(np.arange(20.0), (2, 1)), 1) is None
 
     def test_min_leaf_respected(self):
         x = np.arange(10.0)
         y = np.zeros(10)
         y[-1] = 100.0
-        got = best_split(x, y, min_leaf=3)
+        got = best_split(x[None], y[None], min_leaf=3)
         # threshold must leave at least 3 points on each side
-        assert 2.0 < got[1] < 7.0
+        assert 2.0 < got[2] < 7.0
+
+    def test_too_few_rows_for_two_leaves(self):
+        assert best_split(np.arange(5.0)[None], np.arange(5.0)[None], min_leaf=3) is None
+        assert best_split(np.arange(6.0)[None], np.arange(6.0)[None], min_leaf=3)[2] == 2.5
 
 
 def reference_leaf_values(trees, x):
@@ -134,6 +157,131 @@ class TestLeafValues:
         assert f(x).shape == (0,)
 
 
+class TestWalk:
+    """Blocked ensemble evaluation and the ``right``-only walk against the reference."""
+
+    def ensemble(self, n_trees=7, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(400, 3))
+        y = np.sin(2 * x[:, 0]) + x[:, 1] * x[:, 2]
+        return fit((x, y), RegressorConfig(n_trees=n_trees, max_depth=4, min_leaf=3, subsample=0.7), seed=seed)
+
+    def block_sums(self, f, x, block):
+        sums = [leaf_values(f.trees, x[i : i + block]).sum(axis=1) for i in range(0, x.shape[0], block)]
+        return f.base_value + f.learning_rate * np.concatenate(sums)
+
+    @pytest.mark.parametrize("cells,n_rows", [(70, 5), (70, 23), (70, 90), (BLOCK_CELLS, 300)])
+    def test_blocks_match_the_reference(self, monkeypatch, cells, n_rows):
+        # 70 cells over 7 trees is 10 rows a block: within one block, ending
+        # mid-block, and several whole blocks.
+        monkeypatch.setattr("kbb.regression.BLOCK_CELLS", cells)
+        f = self.ensemble()
+        x = np.random.default_rng(1).normal(size=(n_rows, 3))
+        ref = reference_leaf_values(f.trees, x)
+        assert np.array_equal(leaf_values(f.trees, x), ref)
+        assert np.array_equal(f(x), self.block_sums(f, x, max(1, cells // 7)))
+
+    def test_more_trees_than_block_cells(self, monkeypatch):
+        monkeypatch.setattr("kbb.regression.BLOCK_CELLS", 4)
+        f = self.ensemble(n_trees=6)
+        x = np.random.default_rng(2).normal(size=(9, 3))
+        assert np.array_equal(leaf_values(f.trees, x), reference_leaf_values(f.trees, x))
+        assert np.array_equal(f(x), self.block_sums(f, x, 1))
+
+    def test_fortran_and_column_sliced_rows(self):
+        f = self.ensemble()
+        wide = np.random.default_rng(3).normal(size=(50, 7))
+        for x in (np.asfortranarray(wide[:, :3]), wide[:, ::3], wide[:, 2:5]):
+            assert not x.flags.c_contiguous
+            ref = reference_leaf_values(f.trees, x)
+            assert np.array_equal(leaf_values(f.trees, x), ref)
+            assert np.array_equal(f(x), f(np.ascontiguousarray(x)))
+
+    def test_nan_goes_right_at_every_internal_node(self):
+        f = self.ensemble()
+        x = np.full((2, 3), np.nan)
+        x[1, 1:] = 0.0  # NaN only in feature 0
+        got = leaf_values(f.trees, x)
+        assert np.array_equal(got, reference_leaf_values(f.trees, x))
+        for j, t in enumerate(f.trees):
+            node = 0
+            while t.feature[node] >= 0:
+                node = t.right[node]
+            assert got[0, j] == t.value[node]
+
+
+class TestNodeLayout:
+    def arrays(self, **changes):
+        arrays = dict(feature=[0, 1, -1, -1, -1], threshold=[0.0, 1.0, 0.0, 0.0, 0.0],
+                      left=[1, 3, -1, -1, -1], right=[2, 4, -1, -1, -1], value=[0.0, 1.0, 2.0, 3.0, 4.0])
+        arrays.update(changes)
+        return arrays
+
+    def test_adjacent_children_accepted(self):
+        tree = RegressionTree.from_arrays(self.arrays(), max_depth=2, min_leaf=1)
+        x = np.array([[0.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
+        assert tree.predict(x).tolist() == [3.0, 4.0, 2.0]
+        assert tree.predict(x).tolist() == reference_leaf_values([tree], x)[:, 0].tolist()
+
+    @pytest.mark.parametrize("changes", [
+        dict(left=[1, 3, -1, -1, -1], right=[3, 4, -1, -1, -1]),  # right != left + 1
+        dict(left=[2, 3, -1, -1, -1], right=[1, 4, -1, -1, -1]),  # children swapped
+        dict(left=[1, 4, -1, -1, -1], right=[2, 5, -1, -1, -1]),  # right out of range
+        dict(left=[-1, 3, -1, -1, -1], right=[0, 4, -1, -1, -1]),  # left out of range
+        dict(left=[1, 0, -1, -1, -1], right=[2, 1, -1, -1, -1]),  # a child before its parent
+    ])
+    def test_misread_layouts_rejected(self, changes):
+        with pytest.raises(ValueError, match="internal node"):
+            RegressionTree.from_arrays(self.arrays(**changes), max_depth=2, min_leaf=1)
+
+    def test_fitted_trees_have_the_layout(self):
+        x = np.random.default_rng(4).normal(size=(300, 2))
+        tree = RegressionTree(5, 3).fit(x, x[:, 0] * x[:, 1])
+        inner = tree.feature >= 0
+        assert inner.sum() > 3
+        assert np.array_equal(tree.right[inner], tree.left[inner] + 1)
+        RegressionTree.from_arrays(tree.to_arrays(), 5, 3)
+
+
+class TestFittedValues:
+    """The values ``fit`` writes into ``out`` are the walk's, bit for bit."""
+
+    def data(self, seed=0, n=500):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 3))
+        return x, np.sin(2 * x[:, 0]) + x[:, 1] * x[:, 2] + 0.1 * rng.normal(size=n)
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 4, 6])
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_out_equals_predict(self, max_depth, rounded):
+        x, y = self.data(seed=max_depth)
+        if rounded:
+            x = np.round(x, 1)
+        out = np.full(x.shape[0], np.nan)
+        tree = RegressionTree(max_depth, 5).fit(x, y, out=out)
+        assert np.array_equal(out, tree.predict(x))
+
+    def test_out_equals_predict_on_a_subsample(self):
+        x, y = self.data(seed=7)
+        x = np.round(x, 1)
+        rows = np.sort(np.random.default_rng(1).permutation(x.shape[0])[:350])
+        out = np.full(rows.shape[0], np.nan)
+        tree = RegressionTree(4, 5).fit(x[rows], y[rows], out=out)
+        assert np.array_equal(out, tree.predict(x[rows]))
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    def test_train_mse_path_is_the_walked_one(self, subsample):
+        x, y = self.data(seed=9)
+        x = np.round(x, 1)
+        f = fit((x, y), RegressorConfig(n_trees=15, max_depth=4, min_leaf=5, subsample=subsample), seed=2)
+        pred = np.full(y.shape[0], f.base_value)
+        path = [float(np.mean((y - pred) ** 2))]
+        for tree in f.trees:
+            pred += f.learning_rate * tree.predict(x)
+            path.append(float(np.mean((y - pred) ** 2)))
+        assert np.array_equal(f.train_mse_path, path)
+
+
 def reference_tree(x, y, max_depth, min_leaf, split=best_split):
     """Node arrays of the builder without presorting: every node stably
     argsorts its rows' values of every feature before the split search."""
@@ -151,12 +299,9 @@ def reference_tree(x, y, max_depth, min_leaf, split=best_split):
         value[node] = float(ysub.mean())
         if depth >= max_depth or rows.shape[0] < 2 * min_leaf:
             continue
-        best = None
-        for f in range(x.shape[1]):
-            order = np.argsort(x[rows, f], kind="stable")
-            cand = split(x[rows, f][order], ysub[order], min_leaf)
-            if cand is not None and (best is None or cand[0] > best[0]):
-                best = (cand[0], f, cand[1])
+        orders = [np.argsort(x[rows, f], kind="stable") for f in range(x.shape[1])]
+        sv = np.array([x[rows, f][order] for f, order in enumerate(orders)])
+        best = split(sv, np.array([ysub[order] for order in orders]), min_leaf)
         if best is None or best[0] - float(ysub.sum()) ** 2 / rows.shape[0] <= 0.0:
             continue
         _, f, thr = best
@@ -212,7 +357,9 @@ class TestPresortedTrees:
         reference_tree(x, y, 5, 3, split=recording)
         assert len(got) == len(seen) > 0
         for (sv, sy), (rv, ry) in zip(got, seen):
-            assert np.array_equal(sv, rv) and np.array_equal(sy, ry)
+            assert sv.shape == sy.shape == (x.shape[1], sv.shape[1])
+            for f in range(x.shape[1]):
+                assert np.array_equal(sv[f], rv[f]) and np.array_equal(sy[f], ry[f])
 
     def test_duplicated_columns_split_on_feature_zero(self):
         x, y = self.data(seed=2)
