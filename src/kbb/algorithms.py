@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import envs
-from .envs import ArchModel, LqrModel, NonlinearModel, nonlinear_to_z, sample_transitions
+from .envs import sample_transitions
 from .lstd import (
     DUPLICATE_CORRELATION,
     MIN_BASIS_NORM,
@@ -22,10 +22,10 @@ from .lstd import (
     solve_linear_system,
     span_correlation,
 )
-from .mrp import TabularModel, bellman_apply, mu_norm, solve_exact, stationary_distribution
+from .mrp import TabularModel, mu_norm, solve_exact, stationary_distribution
 from .records import RunRecord
 from .regression import RegressorConfig, backup_targets, fit
-from .values import ConstantValueFn, QuadraticValueFn, ScaledValueFn, TableValueFn
+from .values import ConstantValueFn, ScaledValueFn, TableValueFn
 
 __all__ = [
     "IterationBudget",
@@ -72,12 +72,6 @@ def derive_seed(seed: int, *path: int) -> int:
 _REG_STREAM, _LSTD_STREAM, _FIT_STREAM = 0, 1, 2
 
 
-def _gamma_of(env) -> float:
-    if isinstance(env, NonlinearModel):
-        return env.inner.gamma
-    return env.gamma
-
-
 class ErrorEvaluator:
     """Measures the mu-weighted distance of a value function to ground truth.
 
@@ -113,38 +107,6 @@ class ErrorEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def _vi_iterates_tabular(model: TabularModel, max_iters: int):
-    v = np.zeros(model.n_states)
-    for _ in range(max_iters):
-        v = bellman_apply(model, v)
-        yield TableValueFn(v)
-
-
-def _vi_iterates_lqr(model: LqrModel, max_iters: int, coord_map=None):
-    m = model.closed_loop
-    c = model.cost_mat
-    p = np.zeros_like(c)
-    const = 0.0
-    for _ in range(max_iters):
-        p, const = (
-            c + model.gamma * m.T @ p @ m,
-            model.gamma * const + model.gamma * float(np.trace(p @ model.noise_cov)),
-        )
-        yield QuadraticValueFn(p, offset=const, coord_map=coord_map)
-
-
-def _vi_iterates_arch(model: ArchModel, max_iters: int):
-    l_mat, g_mat, r_mat = model.a_mat, model.scale_mat, model.cost_mat
-    p = np.zeros_like(r_mat)
-    const = 0.0
-    for _ in range(max_iters):
-        p, const = (
-            r_mat + model.gamma * (l_mat.T @ p @ l_mat + g_mat * float(np.trace(p @ model.noise_cov))),
-            model.gamma * (model.q_scalar * float(np.trace(p @ model.noise_cov)) + const),
-        )
-        yield QuadraticValueFn(p, offset=const)
-
-
 def _start_run(algo: str, env, truth, n_eval: int, eval_seed: int, config_hash: str, seeds: list,
                **meta):
     """Error evaluator and empty record of a run, scored from the zero function."""
@@ -163,24 +125,10 @@ def _start_run(algo: str, env, truth, n_eval: int, eval_seed: int, config_hash: 
 
 def run_vi(env, max_iters: int, truth=None, n_eval: int = 10_000, eval_seed: int = 0,
            config_hash: str = "") -> RunRecord:
-    """Exact value iteration from the zero function.
-
-    Tabular models iterate the dense backup; LQR, nonlinear, and ARCH models
-    use their closed-form quadratic recursions (the nonlinear model through
-    its inner linear system).  VI consumes no samples.
-    """
+    """Exact value iteration from the zero function, scored at each iterate
+    of ``envs.vi_iterates``.  VI consumes no samples."""
     evaluator, record = _start_run("vi", env, truth, n_eval, eval_seed, config_hash, [])
-    if isinstance(env, TabularModel):
-        iterates = _vi_iterates_tabular(env, max_iters)
-    elif isinstance(env, LqrModel):
-        iterates = _vi_iterates_lqr(env, max_iters)
-    elif isinstance(env, NonlinearModel):
-        iterates = _vi_iterates_lqr(env.inner, max_iters, coord_map=nonlinear_to_z)
-    elif isinstance(env, ArchModel):
-        iterates = _vi_iterates_arch(env, max_iters)
-    else:
-        raise ValueError(f"exact value iteration unsupported for {type(env).__name__}")
-    for t, v in enumerate(iterates, start=1):
+    for t, v in zip(range(1, max_iters + 1), envs.vi_iterates(env)):
         t0 = time.perf_counter()
         err = evaluator(v)
         wall = (time.perf_counter() - t0) * 1e3
@@ -197,7 +145,6 @@ def run_fvi(env, regressor_config: RegressorConfig, budget: IterationBudget, tru
             seed: int = 0, n_eval: int = 10_000, eval_seed: int = 0,
             config_hash: str = "") -> RunRecord:
     """Fitted value iteration: regress the sampled backup r + gamma v(x')."""
-    gamma = _gamma_of(env)
     evaluator, record = _start_run("fvi", env, truth, n_eval, eval_seed, config_hash, [seed],
                                    budget=budget.__dict__, regressor=regressor_config.__dict__)
     v = ConstantValueFn(0.0)
@@ -207,7 +154,7 @@ def run_fvi(env, regressor_config: RegressorConfig, budget: IterationBudget, tru
         n_t = budget.n_at(t)
         data = sample_transitions(env, n_t, derive_seed(seed, t, _REG_STREAM))
         cum += n_t
-        targets = backup_targets(v, data, gamma)
+        targets = backup_targets(v, data, env.gamma)
         v = fit((data.states, targets), regressor_config, derive_seed(seed, t, _FIT_STREAM))
         err = evaluator(v)
         wall = (time.perf_counter() - t0) * 1e3
@@ -307,7 +254,7 @@ def run_kbb(env, regressor_config: RegressorConfig, budget: IterationBudget, tru
     def regress(t, states, targets):
         return fit((states, targets), regressor_config, derive_seed(seed, t, _FIT_STREAM))
 
-    return _kbb_loop(record, budget.max_iters, _gamma_of(env), draw_from(_REG_STREAM), regress,
+    return _kbb_loop(record, budget.max_iters, env.gamma, draw_from(_REG_STREAM), regress,
                      evaluator.states, evaluator.error_of_values,
                      lstd_draw=None if budget.shared_data else draw_from(_LSTD_STREAM))
 

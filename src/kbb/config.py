@@ -89,6 +89,13 @@ def _to_list(s: str) -> list[str]:
     return items
 
 
+def _int_at_least(s: str, low: int) -> int:
+    value = int(s)
+    if value < low:
+        raise ValueError(f"must be >= {low}")
+    return value
+
+
 def _unique(items: list) -> list:
     for i, item in enumerate(items):
         if item in items[:i]:
@@ -146,7 +153,7 @@ class ExperimentConfig:
         for a in algos:
             if a not in ALGOS:
                 raise ConfigError(f"algos: unknown algorithm {a!r}")
-        seeds = _get(kv, "seeds", lambda s: _unique([int(x) for x in _to_list(s)]), required=True)
+        seeds = _get(kv, "seeds", lambda s: _unique([_int_at_least(x, 0) for x in _to_list(s)]), required=True)
 
         try:
             budget = IterationBudget(
@@ -175,8 +182,8 @@ class ExperimentConfig:
             seeds=seeds,
             budget=budget,
             regressor=regressor,
-            eval_n=_get(kv, "eval.n_eval", int, default=10_000),
-            eval_seed=_get(kv, "eval.seed", int, default=0),
+            eval_n=_get(kv, "eval.n_eval", lambda s: _int_at_least(s, 1), default=10_000),
+            eval_seed=_get(kv, "eval.seed", lambda s: _int_at_least(s, 0), default=0),
             out_dir=_get(kv, "out_dir", str, required=True),
             source_text=text,
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrp import Distribution, TabularModel, stationary_distribution
+from .mrp import Distribution, TabularModel, bellman_apply, stationary_distribution
 from .values import QuadraticValueFn, TableValueFn
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "nonlinear_true_value",
     "arch_true_value",
     "true_value",
+    "vi_iterates",
     "sample_transitions",
     "stationary_states",
     "stationary_law",
@@ -224,6 +225,10 @@ class NonlinearModel:
         if self.inner.d != 3:
             raise ValueError("nonlinear model requires a 3-d inner system")
 
+    @property
+    def gamma(self) -> float:
+        return self.inner.gamma
+
 
 # ---------------------------------------------------------------------------
 # Constructors
@@ -326,24 +331,72 @@ def make_arch(d: int, q: float, gamma: float, seed: int) -> ArchModel:
 # ---------------------------------------------------------------------------
 
 
-def lqr_true_value(model: LqrModel, tol: float = 1e-12, max_iters: int = 100_000) -> QuadraticValueFn:
-    """Quadratic ground truth x'Px + gamma/(1-gamma) tr(P Sigma).
-
-    P is the fixed point of P -> C + gamma M' P M with M the closed loop and
-    C the effective cost, obtained by fixed-point iteration.
-    """
+def _lqr_recursion(model: LqrModel):
+    """Endless value iteration from zero: (P, const) of x'Px + const per step."""
     m = model.closed_loop
     c = model.cost_mat
     p = np.zeros_like(c)
-    for _ in range(max_iters):
-        p_next = c + model.gamma * m.T @ p @ m
-        if np.abs(p_next - p).max() <= tol:
-            p = p_next
-            break
-        p = p_next
+    const = 0.0
+    while True:
+        p, const = (
+            c + model.gamma * m.T @ p @ m,
+            model.gamma * const + model.gamma * float(np.trace(p @ model.noise_cov)),
+        )
+        yield p, const
+
+
+def _arch_recursion(model: ArchModel):
+    """Endless value iteration from zero: (P, const) of x'Px + const per step."""
+    l_mat, g_mat, r_mat = model.a_mat, model.scale_mat, model.cost_mat
+    p = np.zeros_like(r_mat)
+    const = 0.0
+    while True:
+        p, const = (
+            r_mat + model.gamma * (l_mat.T @ p @ l_mat + g_mat * float(np.trace(p @ model.noise_cov))),
+            model.gamma * (model.q_scalar * float(np.trace(p @ model.noise_cov)) + const),
+        )
+        yield p, const
+
+
+def vi_iterates(env):
+    """Endless exact value iteration from the zero function: the dense backup
+    for tabular models, the closed-form quadratic recursions otherwise (the
+    nonlinear model through its inner linear system, composed with z(x))."""
+    if isinstance(env, TabularModel):
+        v = np.zeros(env.n_states)
+        while True:
+            v = bellman_apply(env, v)
+            yield TableValueFn(v)
+    coord_map = None
+    if isinstance(env, NonlinearModel):
+        env, coord_map = env.inner, nonlinear_to_z
+    if isinstance(env, LqrModel):
+        recursion = _lqr_recursion(env)
+    elif isinstance(env, ArchModel):
+        recursion = _arch_recursion(env)
     else:
-        raise RuntimeError("Lyapunov fixed-point iteration did not converge")
-    p = 0.5 * (p + p.T)
+        raise ValueError(f"exact value iteration unsupported for {type(env).__name__}")
+    for p, const in recursion:
+        yield QuadraticValueFn(p, offset=const, coord_map=coord_map)
+
+
+def _fixed_point(recursion, what: str) -> np.ndarray:
+    """The first P of ``recursion`` within 1e-12 of the one before, symmetrized."""
+    prev = 0.0
+    for _, (p, _) in zip(range(100_000), recursion):
+        if np.abs(p - prev).max() <= 1e-12:
+            return 0.5 * (p + p.T)
+        prev = p
+    raise RuntimeError(f"{what} fixed-point iteration did not converge")
+
+
+def lqr_true_value(model: LqrModel) -> QuadraticValueFn:
+    """Quadratic ground truth x'Px + gamma/(1-gamma) tr(P Sigma).
+
+    P is the fixed point of P -> C + gamma M' P M with M the closed loop and
+    C the effective cost, the limit of the value-iteration recursion.
+    """
+    p = _fixed_point(_lqr_recursion(model), "Lyapunov")
     offset = model.gamma / (1.0 - model.gamma) * float(np.trace(p @ model.noise_cov))
     return QuadraticValueFn(p, offset=offset)
 
@@ -354,25 +407,14 @@ def nonlinear_true_value(model: NonlinearModel) -> QuadraticValueFn:
     return QuadraticValueFn(inner.p_mat, offset=inner.offset, coord_map=nonlinear_to_z)
 
 
-def arch_true_value(model: ArchModel, tol: float = 1e-12, max_iters: int = 100_000) -> QuadraticValueFn:
+def arch_true_value(model: ArchModel) -> QuadraticValueFn:
     """Quadratic ground truth for the ARCH model.
 
-    P solves P = R + gamma(L'PL + Gamma tr(P Sigma)); the offset is
-    gamma q/(1-gamma) tr(P Sigma).
+    P solves P = R + gamma(L'PL + Gamma tr(P Sigma)), the limit of the
+    value-iteration recursion; the offset is gamma q/(1-gamma) tr(P Sigma).
     """
     l_mat, g_mat, r_mat = model.a_mat, model.scale_mat, model.cost_mat
-    p = np.zeros_like(r_mat)
-    for _ in range(max_iters):
-        p_next = r_mat + model.gamma * (
-            l_mat.T @ p @ l_mat + g_mat * float(np.trace(p @ model.noise_cov))
-        )
-        if np.abs(p_next - p).max() <= tol:
-            p = p_next
-            break
-        p = p_next
-    else:
-        raise RuntimeError("ARCH fixed-point iteration did not converge")
-    p = 0.5 * (p + p.T)
+    p = _fixed_point(_arch_recursion(model), "ARCH")
     resid = np.abs(
         p - (r_mat + model.gamma * (l_mat.T @ p @ l_mat + g_mat * float(np.trace(p @ model.noise_cov))))
     ).max()
@@ -579,6 +621,22 @@ def env_params(env) -> dict:
     raise ValueError(f"unsupported model kind: {type(env).__name__}")
 
 
+def _sample(env, n: int, seed: int) -> tuple:
+    """(states, rewards, next states) of n transitions; states are drawn first."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    rng = np.random.default_rng(seed)
+    if isinstance(env, TabularModel):
+        return _sample_tabular(env, n, rng)
+    if isinstance(env, LqrModel):
+        return _sample_lqr(env, n, rng)
+    if isinstance(env, NonlinearModel):
+        return _sample_nonlinear(env, n, rng)
+    if isinstance(env, ArchModel):
+        return _sample_arch(env, n, rng)
+    raise ValueError(f"unsupported model kind: {type(env).__name__}")
+
+
 def sample_transitions(env, n: int, seed: int) -> Dataset:
     """Draw n transition triples (x, r(x), x').
 
@@ -586,22 +644,8 @@ def sample_transitions(env, n: int, seed: int) -> Dataset:
     law; ARCH has no closed-form stationary law so a burned-in trajectory is
     subsampled with a stride, and the dataset records that mode.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
-    mode = DrawMode.EXACT_STATIONARY
-    if isinstance(env, TabularModel):
-        states, rewards, nxt = _sample_tabular(env, n, rng)
-    elif isinstance(env, LqrModel):
-        states, rewards, nxt = _sample_lqr(env, n, rng)
-    elif isinstance(env, NonlinearModel):
-        states, rewards, nxt = _sample_nonlinear(env, n, rng)
-    elif isinstance(env, ArchModel):
-        states, rewards, nxt = _sample_arch(env, n, rng)
-        mode = DrawMode.BURN_IN_TRAJECTORY
-    else:
-        raise ValueError(f"unsupported model kind: {type(env).__name__}")
-    return Dataset(states, rewards, nxt, draw_mode=mode)
+    mode = DrawMode.BURN_IN_TRAJECTORY if isinstance(env, ArchModel) else DrawMode.EXACT_STATIONARY
+    return Dataset(*_sample(env, n, seed), draw_mode=mode)
 
 
 def stationary_states(env, n: int, seed: int) -> np.ndarray:
@@ -614,18 +658,10 @@ def stationary_states(env, n: int, seed: int) -> np.ndarray:
 
 
 def _draw_states(env, n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    if isinstance(env, TabularModel):
-        return np.searchsorted(_tabular_law(env)[1], rng.random(n), side="right").astype(np.int64)
-    if isinstance(env, LqrModel):
-        s_inf = stationary_covariance(env)
-        return rng.standard_normal((n, env.d)) @ _psd_factor(s_inf).T
+    """The states of ``sample_transitions(env, n, seed)``."""
     if isinstance(env, NonlinearModel):
         return nonlinear_from_z(stationary_states(env.inner, n, seed))
-    if isinstance(env, ArchModel):
-        states, _, _ = _sample_arch(env, n, rng)
-        return states
-    raise ValueError(f"unsupported model kind: {type(env).__name__}")
+    return _sample(env, n, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -126,32 +126,29 @@ def _power_start(n: int) -> np.ndarray:
     return x / x.sum()
 
 
-def _irreducible_aperiodic(trans: np.ndarray) -> bool:
-    """Graph test: one strongly connected class, and period 1, the gcd of
-    level[u] + 1 - level[v] over all edges u -> v of a breadth-first search."""
-    # Imported here: only this fallback needs scipy.sparse, whose import
-    # adds about 4 MB to every process.
-    from scipy.sparse import csgraph, csr_matrix
-
-    graph = csr_matrix(trans > 0)
-    if csgraph.connected_components(graph, directed=True, connection="strong")[0] != 1:
-        return False
-    level = csgraph.shortest_path(graph, indices=0, unweighted=True).astype(np.int64)
-    u, v = graph.nonzero()
-    return int(np.gcd.reduce(level[u] + 1 - level[v])) == 1
-
-
-def _all_reach(trans: np.ndarray, c: int) -> bool:
-    """Whether every state reaches state c: a breadth-first search from c
-    along reversed edges (dense, so no scipy.sparse import on this path)."""
-    into = (trans > 0).T  # into[v, u]: the chain steps from u to v
-    seen = np.zeros(trans.shape[0], dtype=bool)
-    seen[c] = True
-    frontier = seen.copy()
+def _bfs_levels(edges: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first levels from ``start`` along edges u -> v where ``edges[u, v]``; -1 if unreached."""
+    level = np.full(edges.shape[0], -1, dtype=np.int64)
+    level[start] = 0
+    frontier = level == 0
+    depth = 0
     while frontier.any():
-        frontier = into[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+        depth += 1
+        frontier = edges[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    return level
+
+
+def _irreducible_aperiodic(trans: np.ndarray) -> bool:
+    """Graph test: state 0 reaches every state and every state reaches state
+    0, and the period, the gcd of level[u] + 1 - level[v] over all edges
+    u -> v of the search from state 0, is 1."""
+    edges = trans > 0
+    level = _bfs_levels(edges, 0)
+    if level.min() < 0 or _bfs_levels(edges.T, 0).min() < 0:
+        return False
+    u, v = np.nonzero(edges)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) == 1
 
 
 def stationary_distribution(
@@ -182,7 +179,7 @@ def stationary_distribution(
         x_next = x_next / s
         if np.abs(x_next - x).sum() <= tol:
             x = x_next
-            if not _all_reach(model.trans, int(np.argmax(x))):
+            if _bfs_levels((model.trans > 0).T, int(np.argmax(x))).min() < 0:
                 raise RuntimeError("the chain is reducible with more than one closed class; "
                                    "its stationary distribution is not unique")
             break

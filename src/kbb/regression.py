@@ -23,7 +23,6 @@ from .values import StateValueFn, TableValueFn, as_states
 
 __all__ = [
     "RegressorConfig",
-    "TabularMeanFn",
     "BoostedTreesFn",
     "fit",
     "backup_targets",
@@ -54,14 +53,6 @@ class RegressorConfig:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
-
-
-class TabularMeanFn(TableValueFn):
-    """Per-state sample mean; states never seen in training evaluate to 0."""
-
-    def __init__(self, values, counts):
-        super().__init__(values, default=0.0)
-        self.counts = np.asarray(counts, dtype=np.int64)
 
 
 class BoostedTreesFn(StateValueFn):
@@ -116,7 +107,7 @@ def _normalize_pairs(pairs):
     return states, targets
 
 
-def _fit_tabular_mean(states: np.ndarray, targets: np.ndarray) -> TabularMeanFn:
+def _fit_tabular_mean(states: np.ndarray, targets: np.ndarray) -> TableValueFn:
     if not np.issubdtype(states.dtype, np.integer):
         raise ValueError("tabular_mean requires integer states")
     if states.min() < 0:
@@ -125,7 +116,7 @@ def _fit_tabular_mean(states: np.ndarray, targets: np.ndarray) -> TabularMeanFn:
     counts = np.bincount(states, minlength=size)
     sums = np.bincount(states, weights=targets, minlength=size)
     values = np.divide(sums, counts, out=np.zeros(size), where=counts > 0)
-    return TabularMeanFn(values, counts)
+    return TableValueFn(values)
 
 
 def _fit_boosted(states, targets, config: RegressorConfig, seed: int) -> BoostedTreesFn:

@@ -179,15 +179,6 @@ class RegressionTree:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return leaf_values([self], x)[:, 0]
 
-    def to_arrays(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
-        }
-
     @classmethod
     def from_arrays(cls, arrays: dict, max_depth: int, min_leaf: int) -> "RegressionTree":
         tree = cls(max_depth, min_leaf)

@@ -279,6 +279,134 @@ class TestPinnedRuns:
         assert rec.meta["rejected_iters"] == [15, 16, 17, 18, 19, 20]
         assert [k for _, k in trace] == list(range(15)) + [14] * 6
 
+    VI = {
+        "lqr": (
+            "iter,cum_samples,mu_error,ridge_used\n"
+            "1,0,23.191501512395885,0\n"
+            "2,0,20.465058879824664,0\n"
+            "3,0,18.180541935910675,0\n"
+            "4,0,16.224688495707113,0\n"
+            "5,0,14.523524413798174,0\n"
+            "6,0,13.026856475829319,0\n"
+            "7,0,11.699656986917295,0\n"
+            "8,0,10.516451871921905,0\n"
+            "9,0,9.4579006922272679,0\n"
+            "10,0,8.5087011051412293,0\n"
+            "11,0,7.6563061979730476,0\n"
+            "12,0,6.8901316743486687,0\n"
+            "13,0,6.2010572947854135,0\n"
+            "14,0,5.5811049383217464,0\n"
+            "15,0,5.0232231598815842,0\n"
+            "16,0,4.5211366004077256,0\n"
+            "17,0,4.0692355579628954,0\n"
+            "18,0,3.6624910597511975,0\n"
+            "19,0,3.2963866914773985,0\n"
+            "20,0,2.9668619227494402,0\n"
+            "21,0,2.6702637155300746,0\n"
+            "22,0,2.403304408690301,0\n"
+            "23,0,2.1630245842121973,0\n"
+            "24,0,1.9467600443801785,0\n"
+            "25,0,1.7521122844091621,0\n"
+            "26,0,1.5769220015332177,0\n"
+            "27,0,1.4192452805179585,0\n"
+            "28,0,1.2773321606509389,0\n"
+            "29,0,1.1496073343081266,0\n"
+            "30,0,1.0346527601814555,0\n"
+        ),
+        "nonlinear": (
+            "iter,cum_samples,mu_error,ridge_used\n"
+            "1,0,67.291939202064569,0\n"
+            "2,0,59.35124328891132,0\n"
+            "3,0,52.708191140038373,0\n"
+            "4,0,47.029338737833569,0\n"
+            "5,0,42.094469302786315,0\n"
+            "6,0,37.755300010968575,0\n"
+            "7,0,33.908693914051057,0\n"
+            "8,0,30.479972967055396,0\n"
+            "9,0,27.412659138392936,0\n"
+            "10,0,24.662210024079823,0\n"
+            "11,0,22.192190460061841,0\n"
+            "12,0,19.971913272435927,0\n"
+            "13,0,17.974961082129848,0\n"
+            "14,0,16.178235993519287,0\n"
+            "15,0,14.561326758850266,0\n"
+            "16,0,13.106068641051433,0\n"
+            "17,0,11.796222119195598,0\n"
+            "18,0,10.617226688681551,0\n"
+            "19,0,9.5560037415946351,0\n"
+            "20,0,8.6007929324946026,0\n"
+            "21,0,7.7410125505595859,0\n"
+            "22,0,6.9671380099789024,0\n"
+            "23,0,6.2705946844309528,0\n"
+            "24,0,5.6436625632381308,0\n"
+            "25,0,5.0793909561219035,0\n"
+            "26,0,4.571521930316373,0\n"
+            "27,0,4.1144214502840635,0\n"
+            "28,0,3.7030173772726003,0\n"
+            "29,0,3.3327436144334461,0\n"
+            "30,0,2.9994897768168736,0\n"
+        ),
+        "arch": (
+            "iter,cum_samples,mu_error,ridge_used\n"
+            "1,0,5.6186009457899067,0\n"
+            "2,0,4.7120200474526674,0\n"
+            "3,0,4.0675087237665446,0\n"
+            "4,0,3.5764760261588466,0\n"
+            "5,0,3.178730813966625,0\n"
+            "6,0,2.8420867101072793,0\n"
+            "7,0,2.5492344745757087,0\n"
+            "8,0,2.2904098689990784,0\n"
+            "9,0,2.0596577543577026,0\n"
+            "10,0,1.8529748069324454,0\n"
+            "11,0,1.6674002885439105,0\n"
+            "12,0,1.5005707453073798,0\n"
+            "13,0,1.3504988930999564,0\n"
+            "14,0,1.2154602383728643,0\n"
+            "15,0,1.0939315467338175,0\n"
+            "16,0,0.9845545010477591,0\n"
+            "17,0,0.88611187083770238,0\n"
+            "18,0,0.79751016284878962,0\n"
+            "19,0,0.71776587159113259,0\n"
+            "20,0,0.64599393565130581,0\n"
+            "21,0,0.58139770620972497,0\n"
+            "22,0,0.52326006423213467,0\n"
+            "23,0,0.47093547889311915,0\n"
+            "24,0,0.42384287463836723,0\n"
+            "25,0,0.38145921139290867,0\n"
+            "26,0,0.34331370205819678,0\n"
+            "27,0,0.30898260299674529,0\n"
+            "28,0,0.27808452097647823,0\n"
+            "29,0,0.25027618598018975,0\n"
+            "30,0,0.22524864424285401,0\n"
+        ),
+    }
+
+    def test_vi_csv_text_matches_pinned(self):
+        # the closed-form recursions of exact VI, 30 iterations each
+        models = {
+            "lqr": make_lqr(3, 2, 0.9, 1),
+            "nonlinear": make_nonlinear(0.9, 2),
+            "arch": make_arch(3, 0.5, 0.9, 3),
+        }
+        strip = lambda text: re.sub(r",[^,\n]*$", "", text, flags=re.M)
+        for name, env in models.items():
+            rec = run_vi(env, 30, n_eval=500, eval_seed=7)
+            assert strip(rec.to_csv_text()) == self.VI[name], name
+
+    @pytest.mark.parametrize("make", [lambda: make_lqr(3, 2, 0.9, 1), lambda: make_arch(3, 0.5, 0.9, 3)],
+                             ids=["lqr", "arch"])
+    def test_truth_is_the_vi_fixed_point(self, make):
+        # P of the ground truth is the first VI iterate within 1e-12 of the
+        # one before it, symmetrized (as every QuadraticValueFn stores it),
+        # bit for bit
+        env = make()
+        prev = np.zeros((env.d, env.d))
+        for v in envs.vi_iterates(env):
+            if np.abs(v.p_mat - prev).max() <= 1e-12:
+                break
+            prev = v.p_mat
+        assert np.array_equal(true_value(env).p_mat, v.p_mat)
+
 
 class TestIterationBudget:
     def test_first_iteration_multiplier(self):

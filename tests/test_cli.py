@@ -177,8 +177,13 @@ class TestRunExperiment:
         ("KBB_THREADS", "abc", "KBB_THREADS"),
         ("KBB_THREADS", "0", "KBB_THREADS"),
         ("KBB_THREADS", "-3", "KBB_THREADS"),
+        ("eval.n_eval", "0", "eval.n_eval"),
+        ("eval.n_eval", "-5", "eval.n_eval"),
+        ("eval.seed", "-1", "eval.seed"),
+        ("seeds", "-1", "seeds"),
     ], ids=["env.kind", "seeds", "budget.n_per_iter", "env.gamma", "env.n",
-            "algos-repeated", "seeds-repeated", "KBB_THREADS-abc", "KBB_THREADS-0", "KBB_THREADS--3"])
+            "algos-repeated", "seeds-repeated", "KBB_THREADS-abc", "KBB_THREADS-0", "KBB_THREADS--3",
+            "eval.n_eval-0", "eval.n_eval--5", "eval.seed--1", "seeds--1"])
     def test_cli_exit_codes(self, tmp_path, capsys, monkeypatch, key, value, named):
         # an invalid value exits 2 before any output directory is created
         lines = [ln for ln in MINIMAL_VI.format(out=tmp_path / "o").splitlines()

@@ -453,6 +453,11 @@ class TestPerModelValues:
         assert builds == [9]
         assert all(r is results[0] for r in results)
 
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_no_states_is_an_error(self, kind):
+        with pytest.raises(ValueError, match="n must be positive"):
+            envs.stationary_states(self.MODELS[kind](), 0, 1)
+
     def test_unsupported_kind(self):
         with pytest.raises(ValueError, match="unsupported model kind"):
             envs.stationary_states(object(), 10, 0)

@@ -152,6 +152,60 @@ class TestStationaryDistribution:
         assert abs(mu.weights.sum() - 1.0) <= 1e-12
 
 
+
+def random_pattern(kind: str, n: int, rng) -> np.ndarray:
+    """A seeded 0/1 transition pattern of one of four kinds, every row nonempty."""
+    pattern = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+    nxt = np.arange(n)  # a state each row may always step to: itself, but for cycles
+    if kind == "periodic":  # k cyclic classes: edges only from class i to class i + 1
+        k = int(rng.integers(2, min(n, 5) + 1))
+        cls = rng.permutation(np.arange(n) % k)
+        pattern &= cls[None, :] == (cls[:, None] + 1) % k
+        nxt = np.array([rng.choice(np.flatnonzero(cls == (c + 1) % k)) for c in cls])
+    elif kind == "transient":  # states below `cut` never return once they leave
+        cut = int(rng.integers(1, n))
+        pattern[cut:, :cut] = False
+        pattern[:cut, cut:] |= rng.random((cut, n - cut)) < 0.3
+    elif kind == "two-classes":  # closed [0, a) and [a, b); states from b on are transient
+        a, b = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        pattern[:a, a:] = False
+        pattern[a:b, :a] = False
+        pattern[a:b, b:] = False
+        pattern[b:, :a] |= rng.random((n - b, a)) < 0.3
+    empty = ~pattern.any(axis=1)
+    pattern[np.flatnonzero(empty), nxt[empty]] = True
+    return pattern
+
+
+class TestGraphSearch:
+    """The dense breadth-first search of ``stationary_distribution`` against
+    scipy.sparse.csgraph and a boolean matrix-power test of aperiodicity."""
+
+    @pytest.mark.parametrize("kind", ["random", "periodic", "transient", "two-classes"])
+    def test_verdicts_match_reference(self, kind):
+        from scipy.sparse import csgraph, csr_matrix
+
+        from kbb.mrp import _bfs_levels, _irreducible_aperiodic
+
+        rng = np.random.default_rng(["random", "periodic", "transient", "two-classes"].index(kind))
+        verdicts = set()
+        for n in range(2, 41):
+            for _ in range(3):
+                pattern = random_pattern(kind, n, rng)
+                trans = pattern / pattern.sum(axis=1, keepdims=True)
+                graph = csr_matrix(trans > 0)
+                strong = csgraph.connected_components(graph, directed=True, connection="strong")[0] == 1
+                power = pattern.astype(np.int64)
+                for _ in range(11):  # pattern^(2^11): positive iff primitive, as 2^11 > (n-1)^2 + 1
+                    power = np.minimum(power @ power, 1)
+                expected = bool(strong and power.all())
+                assert _irreducible_aperiodic(trans) == expected, (kind, n)
+                verdicts.add(expected)
+                into = csgraph.shortest_path(graph.T, unweighted=True)  # into[c, u]: steps from u to c
+                for c in range(n):
+                    assert (_bfs_levels((trans > 0).T, c) >= 0).all() == np.isfinite(into[c]).all()
+        assert verdicts == ({True, False} if kind == "random" else {False})
+
 class TestMuNorm:
     def test_ones(self):
         mu = Distribution([0.3, 0.7])

@@ -11,6 +11,9 @@ from kbb.regression import RegressorConfig, backup_targets, fit
 from kbb.trees import BLOCK_CELLS, RegressionTree, best_split, leaf_values
 from kbb.values import TableValueFn
 
+# A fitted tree's node arrays, in the order the hash pin reads them.
+LAYOUT = ("feature", "threshold", "left", "right", "value")
+
 
 class TestTabularMean:
     def test_sample_mean(self):
@@ -240,7 +243,7 @@ class TestNodeLayout:
         inner = tree.feature >= 0
         assert inner.sum() > 3
         assert np.array_equal(tree.right[inner], tree.left[inner] + 1)
-        RegressionTree.from_arrays(tree.to_arrays(), 5, 3)
+        RegressionTree.from_arrays({key: getattr(tree, key) for key in LAYOUT}, 5, 3)
 
 
 class TestFittedValues:
@@ -314,8 +317,8 @@ def reference_tree(x, y, max_depth, min_leaf, split=best_split):
 
 
 def assert_same_tree(tree, reference):
-    for key, arr in tree.to_arrays().items():
-        assert np.array_equal(arr, reference[key]), key
+    for key in LAYOUT:
+        assert np.array_equal(getattr(tree, key), reference[key]), key
 
 
 class TestPresortedTrees:
@@ -396,8 +399,8 @@ class TestPresortedTrees:
         f = fit((x, y), cfg, seed=3)
         h = hashlib.sha256()
         for tree in f.trees:
-            for arr in tree.to_arrays().values():
-                h.update(arr.tobytes())
+            for key in LAYOUT:
+                h.update(getattr(tree, key).tobytes())
         assert h.hexdigest() == "b46e90fc48013ae41595a138ffbfa2fe81fa6b4f228e42eebb1aa0c0fd32fc8e"
         grid = np.random.default_rng(11).normal(size=(5000, 3))
         values = hashlib.sha256(f(grid).tobytes()).hexdigest()
