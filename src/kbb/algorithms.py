@@ -48,14 +48,17 @@ class IterationBudget:
     an accurate first fit (which estimates the reward) noticeably improves
     the whole run.  With ``shared_data`` the LSTD step reuses the regression
     dataset; otherwise an independent dataset of equal size is drawn.
+    ``max_iters`` must be given.
     """
 
-    n_per_iter: int
-    max_iters: int
+    n_per_iter: int = 10_000
+    max_iters: int | None = None
     first_iter_multiplier: int = 4
     shared_data: bool = True
 
     def __post_init__(self):
+        if self.max_iters is None:
+            raise TypeError("IterationBudget needs max_iters")
         if self.n_per_iter < 1 or self.max_iters < 1 or self.first_iter_multiplier < 1:
             raise ValueError("budget fields must be positive")
 
@@ -273,7 +276,7 @@ def oracle_kbb(model: TabularModel, max_iters: int, _trace: list | None = None) 
         algo="kbb",
         initial_error=mu_norm(v_star, mu),
         seeds=[],
-        meta={"oracle": True, "env": {"kind": "tabular", "n_states": model.n_states, "gamma": model.gamma}},
+        meta={"oracle": True, "env": envs.env_params(model)},
     )
     states = np.arange(model.n_states)
 

@@ -29,13 +29,14 @@ from . import __version__, envs
 from .algorithms import run_fvi, run_kbb, run_vi
 from .config import ConfigError, ExperimentConfig, build_env
 from .diagnostics import spectra_table
-from .mrp import TabularModel
+from .mrp import TabularModel, is_reversible
 from .records import RunRecord, json_text, load_run_csv, load_run_meta, save_run, write_atomic
 from .svgplot import render_log_error_plot
 
 __all__ = ["main", "run_experiment", "compare", "plot", "spectra", "ComparisonReport"]
 
-COMPLEXITY_FRACTIONS = (0.5, 0.1)
+# Fractions of the initial error that the comparison counts samples to, with their column tags.
+COMPLEXITY_FRACTIONS = {0.5: "half", 0.1: "tenth"}
 
 
 def _execute_one(env, cfg: ExperimentConfig, algo: str, seed: int) -> RunRecord:
@@ -132,15 +133,13 @@ class ComparisonReport:
 
     def to_csv_text(self) -> str:
         cols = ["dir", "algo", "initial_error"]
-        for frac in COMPLEXITY_FRACTIONS:
-            tag = _frac_tag(frac)
+        for tag in COMPLEXITY_FRACTIONS.values():
             cols += [f"samples_to_{tag}", f"ratio_{tag}"]
         cols.append("note")
         lines = [",".join(cols)]
         for e in self.entries:
             row = [e["dir"], e["algo"], format(e["initial_error"], ".17g")]
-            for frac in COMPLEXITY_FRACTIONS:
-                tag = _frac_tag(frac)
+            for tag in COMPLEXITY_FRACTIONS.values():
                 val = e[f"samples_to_{tag}"]
                 row.append("not_reached" if val is None else str(val))
                 ratio = e[f"ratio_{tag}"]
@@ -157,8 +156,7 @@ class ComparisonReport:
         lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
         for e in self.entries:
             row = [e["dir"], e["algo"], f"{e['initial_error']:.4g}"]
-            for frac in COMPLEXITY_FRACTIONS:
-                tag = _frac_tag(frac)
+            for tag in COMPLEXITY_FRACTIONS.values():
                 val = e[f"samples_to_{tag}"]
                 row.append("not reached" if val is None else str(val))
                 ratio = e[f"ratio_{tag}"]
@@ -166,10 +164,6 @@ class ComparisonReport:
             row.append(e["note"])
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines) + "\n"
-
-
-def _frac_tag(frac: float) -> str:
-    return {0.5: "half", 0.1: "tenth"}.get(frac, f"{frac:g}".replace(".", "p"))
 
 
 def _samples_to_reach(rows, initial: float, frac: float):
@@ -220,8 +214,7 @@ def compare(run_dirs) -> ComparisonReport:
                 "initial_error": inits[0],
                 "note": "exact dynamics" if algo == "vi" else "",
             }
-            for frac in COMPLEXITY_FRACTIONS:
-                tag = _frac_tag(frac)
+            for frac, tag in COMPLEXITY_FRACTIONS.items():
                 per_seed = [
                     _samples_to_reach(r["rows"], r["meta"]["initial_error"], frac) for r in runs
                 ]
@@ -274,9 +267,7 @@ def spectra(config_path, depth: int, out_path=None) -> list:
     env = build_env(cfg)
     if not isinstance(env, TabularModel):
         raise ConfigError("env.kind: spectra requires a tabular environment")
-    from .diagnostics import QOperator
-
-    if not QOperator(env).reversible:
+    if not is_reversible(env, envs.stationary_law(env)):
         raise ConfigError("env.kind: spectra requires a reversible chain")
     rows = spectra_table(env, depth)
     text_lines = ["t,mineig,maxeig,theorem1_bound"]

@@ -24,8 +24,10 @@ Example::
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from . import envs
 from .algorithms import IterationBudget
@@ -33,8 +35,17 @@ from .regression import RegressorConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_flat", "build_env"]
 
-ENV_KINDS = ("random_tabular", "circular", "lqr", "nonlinear", "arch")
 ALGOS = ("vi", "fvi", "kbb")
+
+# Each env.kind and its constructor.  A kind takes the env.* keys that its
+# constructor's parameters name, and no others.
+ENV_KINDS = {
+    "random_tabular": envs.make_random_tabular,
+    "circular": envs.make_circular_walk,
+    "lqr": envs.make_lqr,
+    "nonlinear": envs.make_nonlinear,
+    "arch": envs.make_arch,
+}
 
 
 class ConfigError(ValueError):
@@ -60,15 +71,16 @@ def parse_flat(text: str) -> dict:
     return out
 
 
-def _get(kv: dict, key: str, convert, default=None, required: bool = False):
+_REQUIRED = object()
+
+
+def _get(kv: dict, key: str, convert, default):
     if key not in kv:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required key: {key}")
         return default
     try:
         return convert(kv[key])
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(f"invalid value for key {key}: {kv[key]!r} ({exc})") from exc
 
@@ -103,6 +115,54 @@ def _unique(items: list) -> list:
     return items
 
 
+def _one_of(s: str, choices, what: str) -> str:
+    if s not in choices:
+        raise ValueError(f"unknown {what} {s!r}")
+    return s
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How one key is read: the ExperimentConfig field it fills, its parser
+    and its default (_REQUIRED if it has none).  A key of a grouped field
+    fills the entry named by its last dotted part, and an unset key with a
+    None default stays out, so the group's own default applies."""
+
+    field: str
+    parse: Callable
+    default: object = None
+
+
+# Every key, once.  env.kind comes first: each env.* key after it is read
+# only for the kinds that take it.
+KEYS = {
+    "env.kind": _Key("env_kind", lambda s: _one_of(s, ENV_KINDS, "environment kind"), _REQUIRED),
+    "env.gamma": _Key("env_args", float, _REQUIRED),
+    "env.seed": _Key("env_args", int, _REQUIRED),
+    "env.n": _Key("env_args", int, _REQUIRED),
+    "env.d": _Key("env_args", int, 5),
+    "env.m": _Key("env_args", int, 3),
+    "env.q": _Key("env_args", float, 0.5),
+    "algos": _Key("algos", lambda s: _unique([_one_of(a, ALGOS, "algorithm") for a in _to_list(s)]), _REQUIRED),
+    "seeds": _Key("seeds", lambda s: _unique([_int_at_least(x, 0) for x in _to_list(s)]), _REQUIRED),
+    "budget.n_per_iter": _Key("budget", int),
+    "budget.max_iters": _Key("budget", int, _REQUIRED),
+    "budget.first_iter_multiplier": _Key("budget", int),
+    "budget.shared_data": _Key("budget", _to_bool),
+    "regressor.kind": _Key("regressor", str),
+    "regressor.n_trees": _Key("regressor", int),
+    "regressor.max_depth": _Key("regressor", int),
+    "regressor.learning_rate": _Key("regressor", float),
+    "regressor.min_leaf": _Key("regressor", int),
+    "regressor.subsample": _Key("regressor", float),
+    "eval.n_eval": _Key("eval_n", lambda s: _int_at_least(s, 1), 10_000),
+    "eval.seed": _Key("eval_seed", lambda s: _int_at_least(s, 0), 0),
+    "out_dir": _Key("out_dir", str, _REQUIRED),
+}
+# The grouped fields, filled entry by entry, and the type each is built as.
+_GROUPS = {"env_args": dict, "budget": IterationBudget, "regressor": RegressorConfig}
+
+
 @dataclass
 class ExperimentConfig:
     env_kind: str
@@ -115,78 +175,33 @@ class ExperimentConfig:
     eval_seed: int
     out_dir: str
     source_text: str = ""
-    extras: dict = field(default_factory=dict)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         kv = parse_flat(text)
-        known = {
-            "env.kind", "env.n", "env.gamma", "env.seed", "env.d", "env.m", "env.q",
-            "algos", "seeds",
-            "budget.n_per_iter", "budget.max_iters", "budget.first_iter_multiplier",
-            "budget.shared_data",
-            "regressor.kind", "regressor.n_trees", "regressor.max_depth",
-            "regressor.learning_rate", "regressor.min_leaf", "regressor.subsample",
-            "eval.n_eval", "eval.seed", "out_dir",
-        }
         for key in kv:
-            if key not in known:
+            if key not in KEYS:
                 raise ConfigError(f"unknown key: {key}")
-
-        env_kind = _get(kv, "env.kind", str, required=True)
-        if env_kind not in ENV_KINDS:
-            raise ConfigError(f"env.kind: unknown environment kind {env_kind!r}")
-        env_args = {
-            "gamma": _get(kv, "env.gamma", float, required=True),
-            "seed": _get(kv, "env.seed", int, required=True),
-        }
-        if env_kind in ("random_tabular", "circular"):
-            env_args["n"] = _get(kv, "env.n", int, required=True)
-        if env_kind == "lqr":
-            env_args["d"] = _get(kv, "env.d", int, default=5)
-            env_args["m"] = _get(kv, "env.m", int, default=3)
-        if env_kind == "arch":
-            env_args["d"] = _get(kv, "env.d", int, default=5)
-            env_args["q"] = _get(kv, "env.q", float, default=0.5)
-
-        algos = _get(kv, "algos", lambda s: _unique(_to_list(s)), required=True)
-        for a in algos:
-            if a not in ALGOS:
-                raise ConfigError(f"algos: unknown algorithm {a!r}")
-        seeds = _get(kv, "seeds", lambda s: _unique([_int_at_least(x, 0) for x in _to_list(s)]), required=True)
-
-        try:
-            budget = IterationBudget(
-                n_per_iter=_get(kv, "budget.n_per_iter", int, default=10_000),
-                max_iters=_get(kv, "budget.max_iters", int, required=True),
-                first_iter_multiplier=_get(kv, "budget.first_iter_multiplier", int, default=4),
-                shared_data=_get(kv, "budget.shared_data", _to_bool, default=True),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"budget: {exc}") from exc
-        try:
-            regressor = RegressorConfig(
-                kind=_get(kv, "regressor.kind", str, default="boosted_trees"),
-                n_trees=_get(kv, "regressor.n_trees", int, default=200),
-                max_depth=_get(kv, "regressor.max_depth", int, default=3),
-                learning_rate=_get(kv, "regressor.learning_rate", float, default=0.1),
-                min_leaf=_get(kv, "regressor.min_leaf", int, default=5),
-                subsample=_get(kv, "regressor.subsample", float, default=1.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"regressor: {exc}") from exc
-        return cls(
-            env_kind=env_kind,
-            env_args=env_args,
-            algos=algos,
-            seeds=seeds,
-            budget=budget,
-            regressor=regressor,
-            eval_n=_get(kv, "eval.n_eval", lambda s: _int_at_least(s, 1), default=10_000),
-            eval_seed=_get(kv, "eval.seed", lambda s: _int_at_least(s, 0), default=0),
-            out_dir=_get(kv, "out_dir", str, required=True),
-            source_text=text,
-        )
+        values: dict = {group: {} for group in _GROUPS}
+        for key, spec in KEYS.items():
+            name = key.rpartition(".")[2]
+            if spec.field == "env_args":
+                kind = values["env_kind"]
+                if name not in inspect.signature(ENV_KINDS[kind]).parameters:
+                    if key in kv:
+                        raise ConfigError(f"{key}: not taken by environment kind {kind!r}")
+                    continue
+            value = _get(kv, key, spec.parse, spec.default)
+            if spec.field not in _GROUPS:
+                values[spec.field] = value
+            elif value is not None:
+                values[spec.field][name] = value
+        for group, build in _GROUPS.items():
+            try:
+                values[group] = build(**values[group])
+            except ValueError as exc:
+                raise ConfigError(f"{group}: {exc}") from exc
+        return cls(**values, source_text=text)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -195,25 +210,17 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Full settings after defaults; this is what the manifest stores."""
-        return {
-            "env.kind": self.env_kind,
-            **{f"env.{k}": v for k, v in self.env_args.items()},
-            "algos": list(self.algos),
-            "seeds": list(self.seeds),
-            "budget.n_per_iter": self.budget.n_per_iter,
-            "budget.max_iters": self.budget.max_iters,
-            "budget.first_iter_multiplier": self.budget.first_iter_multiplier,
-            "budget.shared_data": self.budget.shared_data,
-            "regressor.kind": self.regressor.kind,
-            "regressor.n_trees": self.regressor.n_trees,
-            "regressor.max_depth": self.regressor.max_depth,
-            "regressor.learning_rate": self.regressor.learning_rate,
-            "regressor.min_leaf": self.regressor.min_leaf,
-            "regressor.subsample": self.regressor.subsample,
-            "eval.n_eval": self.eval_n,
-            "eval.seed": self.eval_seed,
-            "out_dir": self.out_dir,
-        }
+        out = {}
+        for key, spec in KEYS.items():
+            value = getattr(self, spec.field)
+            if spec.field in _GROUPS:
+                entries = value if isinstance(value, dict) else vars(value)
+                name = key.rpartition(".")[2]
+                if name not in entries:  # an env.* key the kind does not take
+                    continue
+                value = entries[name]
+            out[key] = value
+        return out
 
     def config_hash(self) -> str:
         canon = json.dumps(self.resolved(), sort_keys=True)
@@ -223,18 +230,7 @@ class ExperimentConfig:
 def build_env(config: ExperimentConfig):
     """Instantiate the benchmark model named by the config; values the model
     rejects (say gamma = 1.5) raise ConfigError."""
-    kind, args = config.env_kind, config.env_args
     try:
-        if kind == "random_tabular":
-            return envs.make_random_tabular(args["n"], args["gamma"], args["seed"])
-        if kind == "circular":
-            return envs.make_circular_walk(args["n"], args["gamma"], args["seed"])
-        if kind == "lqr":
-            return envs.make_lqr(args["d"], args["m"], args["gamma"], args["seed"])
-        if kind == "nonlinear":
-            return envs.make_nonlinear(args["gamma"], args["seed"])
-        if kind == "arch":
-            return envs.make_arch(args["d"], args["q"], args["gamma"], args["seed"])
+        return ENV_KINDS[config.env_kind](**config.env_args)
     except ValueError as exc:
         raise ConfigError(f"env: {exc}") from exc
-    raise ConfigError(f"env.kind: unknown environment kind {kind!r}")

@@ -201,6 +201,10 @@ def check_theorem1_rate(model: TabularModel, max_iters: int) -> list[tuple[int, 
     trace: list = []
     oracle_kbb(model, max_iters, _trace=trace)
     v_star = solve_exact(model)
+    # The basis in force at step t is the first k_t accepted residual
+    # directions, which span the same subspace as the Krylov basis of that
+    # depth: a prefix of the deepest one the run needs.
+    full = list(krylov_basis(qop, max((k for _, k in trace[:-1]), default=0)))
     rows: list[tuple[int, float, float]] = []
     for t in range(len(trace) - 1):
         v_t, k_t = trace[t]
@@ -209,9 +213,7 @@ def check_theorem1_rate(model: TabularModel, max_iters: int) -> list[tuple[int, 
         if denom <= 1e-14:
             break
         numer = q_inner(qop, v_next - v_star, v_next - v_star)
-        # Basis in force at step t: the first k_t accepted residual directions,
-        # which span the same subspace as the Krylov basis of that depth.
-        pair = restricted_spectral_values(qop, krylov_basis(qop, k_t))
+        pair = restricted_spectral_values(qop, BasisSet(full[:k_t]))
         bound = theorem_bound(pair)
         observed = numer / denom
         rows.append((t, bound, observed))

@@ -16,10 +16,11 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .mrp import Distribution, TabularModel, bellman_apply, stationary_distribution
+from .mrp import Distribution, TabularModel, bellman_apply, solve_exact, stationary_distribution
 from .values import QuadraticValueFn, TableValueFn
 
 __all__ = [
@@ -358,24 +359,15 @@ def _arch_recursion(model: ArchModel):
         yield p, const
 
 
-def vi_iterates(env):
-    """Endless exact value iteration from the zero function: the dense backup
-    for tabular models, the closed-form quadratic recursions otherwise (the
-    nonlinear model through its inner linear system, composed with z(x))."""
-    if isinstance(env, TabularModel):
-        v = np.zeros(env.n_states)
-        while True:
-            v = bellman_apply(env, v)
-            yield TableValueFn(v)
-    coord_map = None
-    if isinstance(env, NonlinearModel):
-        env, coord_map = env.inner, nonlinear_to_z
-    if isinstance(env, LqrModel):
-        recursion = _lqr_recursion(env)
-    elif isinstance(env, ArchModel):
-        recursion = _arch_recursion(env)
-    else:
-        raise ValueError(f"exact value iteration unsupported for {type(env).__name__}")
+def _table_iterates(model: TabularModel):
+    """Endless value iteration from zero by the dense Bellman backup."""
+    v = np.zeros(model.n_states)
+    while True:
+        v = bellman_apply(model, v)
+        yield TableValueFn(v)
+
+
+def _quadratic_iterates(recursion, coord_map=None):
     for p, const in recursion:
         yield QuadraticValueFn(p, offset=const, coord_map=coord_map)
 
@@ -438,8 +430,7 @@ def _memo(model, key, build):
     never share one.  Entries are filled under one (re-entrant) lock, so
     concurrent jobs on one model build each entry once.
     """
-    if not isinstance(model, (TabularModel, LqrModel, NonlinearModel, ArchModel)):
-        raise ValueError(f"unsupported model kind: {type(model).__name__}")
+    _kind(model)
     memo = vars(model).get("_memo")
     if memo is not None and key in memo:
         return memo[key]
@@ -473,25 +464,6 @@ def _tabular_law(model: TabularModel) -> tuple:
 def stationary_law(model: TabularModel) -> Distribution:
     """The stationary distribution of a tabular model, solved once per model object."""
     return _tabular_law(model)[0]
-
-
-def true_value(env):
-    """Ground-truth value function for any benchmark model, built once per model object."""
-    return _memo(env, "true_value", lambda: _build_true_value(env))
-
-
-def _build_true_value(env):
-    if isinstance(env, TabularModel):
-        from .mrp import solve_exact
-
-        return TableValueFn(solve_exact(env))
-    if isinstance(env, LqrModel):
-        return lqr_true_value(env)
-    if isinstance(env, NonlinearModel):
-        return nonlinear_true_value(env)
-    if isinstance(env, ArchModel):
-        return arch_true_value(env)
-    raise ValueError(f"unsupported model kind: {type(env).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -590,51 +562,107 @@ def _sample_arch(model: ArchModel, n: int, rng: np.random.Generator) -> tuple:
     return states, _quad_rewards(states, model.cost_mat), next_states
 
 
-def env_params(env) -> dict:
-    """Loggable scalar summary of a model (sizes, gamma, rescaling facts)."""
-    if isinstance(env, TabularModel):
-        return {"kind": "tabular", "n_states": env.n_states, "gamma": env.gamma}
-    if isinstance(env, LqrModel):
-        return {
-            "kind": "lqr",
-            "d": env.d,
-            "m": env.b_mat.shape[1],
-            "gamma": env.gamma,
-            "closed_loop_radius": float(np.abs(np.linalg.eigvals(env.closed_loop)).max()),
-            "noise_scale": NOISE_SCALE,
-        }
-    if isinstance(env, NonlinearModel):
-        inner = env_params(env.inner)
-        inner["kind"] = "nonlinear"
-        return inner
-    if isinstance(env, ArchModel):
-        return {
-            "kind": "arch",
-            "d": env.d,
-            "q": env.q_scalar,
-            "gamma": env.gamma,
-            "contraction_factor": arch_contraction_factor(env),
+# ---------------------------------------------------------------------------
+# Model kinds
+# ---------------------------------------------------------------------------
+
+
+def _sampled_states(model, n: int, seed: int) -> np.ndarray:
+    return _sample(model, n, seed)[0]
+
+
+def _nonlinear_states(model: NonlinearModel, n: int, seed: int) -> np.ndarray:
+    return nonlinear_from_z(stationary_states(model.inner, n, seed))
+
+
+def _lqr_params(model: LqrModel) -> dict:
+    return {
+        "d": model.d,
+        "m": model.b_mat.shape[1],
+        "gamma": model.gamma,
+        "closed_loop_radius": float(np.abs(np.linalg.eigvals(model.closed_loop)).max()),
+        "noise_scale": NOISE_SCALE,
+    }
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one model class does: its name in ``env_params``, its sampler
+    ``(model, n, rng) -> (states, rewards, next states)``, its ground truth,
+    its exact value-iteration iterates, its loggable parameters, the draw
+    mode of its datasets and how its evaluation states are drawn."""
+
+    name: str
+    sample: Callable
+    truth: Callable
+    iterates: Callable
+    params: Callable
+    draw_mode: DrawMode = DrawMode.EXACT_STATIONARY
+    draw_states: Callable = _sampled_states
+
+
+_KINDS = {
+    TabularModel: _Kind(
+        "tabular", _sample_tabular, lambda m: TableValueFn(solve_exact(m)), _table_iterates,
+        lambda m: {"n_states": m.n_states, "gamma": m.gamma},
+    ),
+    LqrModel: _Kind(
+        "lqr", _sample_lqr, lqr_true_value, lambda m: _quadratic_iterates(_lqr_recursion(m)), _lqr_params,
+    ),
+    # The nonlinear model is its inner linear system composed with z(x).
+    NonlinearModel: _Kind(
+        "nonlinear", _sample_nonlinear, nonlinear_true_value,
+        lambda m: _quadratic_iterates(_lqr_recursion(m.inner), nonlinear_to_z),
+        lambda m: _lqr_params(m.inner), draw_states=_nonlinear_states,
+    ),
+    # ARCH has no closed-form stationary law: its draws come from a burned-in trajectory.
+    ArchModel: _Kind(
+        "arch", _sample_arch, arch_true_value, lambda m: _quadratic_iterates(_arch_recursion(m)),
+        lambda m: {
+            "d": m.d,
+            "q": m.q_scalar,
+            "gamma": m.gamma,
+            "contraction_factor": arch_contraction_factor(m),
             "noise_scale": NOISE_SCALE,
             "burn_in": ARCH_BURN_IN,
             "stride": ARCH_STRIDE,
-        }
-    raise ValueError(f"unsupported model kind: {type(env).__name__}")
+        },
+        draw_mode=DrawMode.BURN_IN_TRAJECTORY,
+    ),
+}
+
+
+def _kind(model) -> _Kind:
+    """The kind table entry of ``model``'s class (or its nearest listed base)."""
+    for cls in type(model).__mro__:
+        if cls in _KINDS:
+            return _KINDS[cls]
+    raise ValueError(f"unsupported model kind: {type(model).__name__}")
+
+
+def true_value(env):
+    """Ground-truth value function for any benchmark model, built once per model object."""
+    return _memo(env, "true_value", lambda: _kind(env).truth(env))
+
+
+def vi_iterates(env):
+    """Endless exact value iteration from the zero function: the dense backup
+    for tabular models, the closed-form quadratic recursions otherwise (the
+    nonlinear model through its inner linear system, composed with z(x))."""
+    return _kind(env).iterates(env)
+
+
+def env_params(env) -> dict:
+    """Loggable scalar summary of a model (sizes, gamma, rescaling facts)."""
+    kind = _kind(env)
+    return {"kind": kind.name, **kind.params(env)}
 
 
 def _sample(env, n: int, seed: int) -> tuple:
     """(states, rewards, next states) of n transitions; states are drawn first."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
-    if isinstance(env, TabularModel):
-        return _sample_tabular(env, n, rng)
-    if isinstance(env, LqrModel):
-        return _sample_lqr(env, n, rng)
-    if isinstance(env, NonlinearModel):
-        return _sample_nonlinear(env, n, rng)
-    if isinstance(env, ArchModel):
-        return _sample_arch(env, n, rng)
-    raise ValueError(f"unsupported model kind: {type(env).__name__}")
+    return _kind(env).sample(env, n, np.random.default_rng(seed))
 
 
 def sample_transitions(env, n: int, seed: int) -> Dataset:
@@ -644,24 +672,17 @@ def sample_transitions(env, n: int, seed: int) -> Dataset:
     law; ARCH has no closed-form stationary law so a burned-in trajectory is
     subsampled with a stride, and the dataset records that mode.
     """
-    mode = DrawMode.BURN_IN_TRAJECTORY if isinstance(env, ArchModel) else DrawMode.EXACT_STATIONARY
-    return Dataset(*_sample(env, n, seed), draw_mode=mode)
+    return Dataset(*_sample(env, n, seed), draw_mode=_kind(env).draw_mode)
 
 
 def stationary_states(env, n: int, seed: int) -> np.ndarray:
-    """n states from the stationary law (trajectory-based for ARCH).
+    """n states from the stationary law (trajectory-based for ARCH), the
+    states of ``sample_transitions(env, n, seed)``.
 
     Built once per (model object, n, seed) and returned read-only; every
     call gives the bits of a fresh draw.
     """
-    return _memo(env, ("stationary_states", n, seed), lambda: _read_only(_draw_states(env, n, seed)))
-
-
-def _draw_states(env, n: int, seed: int) -> np.ndarray:
-    """The states of ``sample_transitions(env, n, seed)``."""
-    if isinstance(env, NonlinearModel):
-        return nonlinear_from_z(stationary_states(env.inner, n, seed))
-    return _sample(env, n, seed)[0]
+    return _memo(env, ("stationary_states", n, seed), lambda: _read_only(_kind(env).draw_states(env, n, seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ class LstdSolution:
             raise ValueError("LSTD coefficients must be finite")
 
 
-def _condition_estimate(a: np.ndarray, lu, piv) -> float:
+def _condition_estimate(a: np.ndarray, lu) -> float:
     """1-norm condition estimate from the LU factorization."""
     anorm = np.abs(a).sum(axis=0).max()
     rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
@@ -108,7 +108,7 @@ def solve_linear_system(a: np.ndarray, b: np.ndarray) -> LstdSolution:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(a)
-        cond = _condition_estimate(a, lu, piv)
+        cond = _condition_estimate(a, lu)
         if cond <= COND_THRESHOLD:
             x = scipy.linalg.lu_solve((lu, piv), b)
             if np.isfinite(x).all():

@@ -413,6 +413,12 @@ class TestIterationBudget:
         b = IterationBudget(n_per_iter=100, max_iters=3, first_iter_multiplier=4)
         assert b.n_at(0) == 400 and b.n_at(1) == 100 and b.n_at(2) == 100
 
+    def test_defaults(self):
+        b = IterationBudget(max_iters=3)
+        assert (b.n_per_iter, b.first_iter_multiplier, b.shared_data) == (10_000, 4, True)
+        with pytest.raises(TypeError, match="max_iters"):
+            IterationBudget()
+
     def test_validation(self):
         for bad in (
             dict(n_per_iter=0, max_iters=1),

@@ -40,6 +40,23 @@ out_dir = {out}
 """
 
 
+# Each env.kind with the least it needs; every other setting takes its default.
+KIND_EXTRAS = [
+    ("random_tabular", "env.n = 6\n"),
+    ("circular", "env.n = 8\n"),
+    ("lqr", ""),
+    ("nonlinear", ""),
+    ("arch", ""),
+]
+
+
+def kind_config(kind, extra):
+    return (
+        f"env.kind = {kind}\n{extra}env.gamma = 0.9\nenv.seed = 1\n"
+        "algos = vi\nseeds = 1\nbudget.max_iters = 2\nout_dir = x\n"
+    )
+
+
 def write_config(tmp_path, text, name="cfg.txt"):
     path = tmp_path / name
     path.write_text(text.format(out=tmp_path / "runs"))
@@ -73,24 +90,37 @@ class TestConfigParsing:
             ExperimentConfig.from_text(MINIMAL_VI.format(out="x").replace("algos = vi", "algos = qlearning"))
 
     def test_build_env_kinds(self):
-        for kind, extra in [
-            ("random_tabular", "env.n = 6\n"),
-            ("circular", "env.n = 8\n"),
-            ("lqr", ""),
-            ("nonlinear", ""),
-            ("arch", ""),
-        ]:
-            text = (
-                f"env.kind = {kind}\n{extra}env.gamma = 0.9\nenv.seed = 1\n"
-                "algos = vi\nseeds = 1\nbudget.max_iters = 2\nout_dir = x\n"
-            )
-            cfg = ExperimentConfig.from_text(text)
-            build_env(cfg)
+        for kind, extra in KIND_EXTRAS:
+            build_env(ExperimentConfig.from_text(kind_config(kind, extra)))
+
+    @pytest.mark.parametrize("kind, key", [
+        ("lqr", "env.n"), ("arch", "env.n"), ("nonlinear", "env.n"), ("nonlinear", "env.d"),
+        ("nonlinear", "env.m"), ("nonlinear", "env.q"), ("circular", "env.q"), ("random_tabular", "env.d"),
+        ("lqr", "env.q"), ("arch", "env.m"),
+    ])
+    def test_env_key_the_kind_does_not_take_named(self, kind, key):
+        extra = dict(KIND_EXTRAS)[kind] + f"{key} = 3\n"
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            ExperimentConfig.from_text(kind_config(kind, extra))
 
     def test_config_hash_stable(self):
         a = ExperimentConfig.from_text(MINIMAL_VI.format(out="x"))
         b = ExperimentConfig.from_text(MINIMAL_VI.format(out="x"))
         assert a.config_hash() == b.config_hash()
+
+    def test_config_hash_pins(self):
+        # the manifests of stored runs carry these hashes, so they must not drift
+        pins = {
+            "random_tabular": "d63a098c0900a828",
+            "circular": "5e8261f26498396b",
+            "lqr": "5c7ea13b84879789",
+            "nonlinear": "45bbcecdd9891583",
+            "arch": "253f884f6fba5a7c",
+        }
+        for kind, extra in KIND_EXTRAS:
+            assert ExperimentConfig.from_text(kind_config(kind, extra)).config_hash() == pins[kind]
+        assert ExperimentConfig.from_text(MINIMAL_VI.format(out="x")).config_hash() == "6be5d41d37b6d85a"
+        assert ExperimentConfig.from_text(SMALL_COMPARISON.format(out="x")).config_hash() == "8688b4b449fcea49"
 
 
 KNOWN_KEYS = [
@@ -181,9 +211,13 @@ class TestRunExperiment:
         ("eval.n_eval", "-5", "eval.n_eval"),
         ("eval.seed", "-1", "eval.seed"),
         ("seeds", "-1", "seeds"),
+        ("env.kind", "lqr", "env.n"),
+        ("env.kind", "nonlinear", "env.n"),
+        ("env.q", "0.5", "env.q"),
     ], ids=["env.kind", "seeds", "budget.n_per_iter", "env.gamma", "env.n",
             "algos-repeated", "seeds-repeated", "KBB_THREADS-abc", "KBB_THREADS-0", "KBB_THREADS--3",
-            "eval.n_eval-0", "eval.n_eval--5", "eval.seed--1", "seeds--1"])
+            "eval.n_eval-0", "eval.n_eval--5", "eval.seed--1", "seeds--1",
+            "env.n-on-lqr", "env.n-on-nonlinear", "env.q-on-circular"])
     def test_cli_exit_codes(self, tmp_path, capsys, monkeypatch, key, value, named):
         # an invalid value exits 2 before any output directory is created
         lines = [ln for ln in MINIMAL_VI.format(out=tmp_path / "o").splitlines()
@@ -230,8 +264,8 @@ class TestRunExperiment:
         from kbb import envs
 
         built = []
-        build = envs._build_true_value
-        monkeypatch.setattr(envs, "_build_true_value", lambda env: built.append(env) or build(env))
+        solve = envs.solve_exact
+        monkeypatch.setattr(envs, "solve_exact", lambda env: built.append(env) or solve(env))
         cfg_path = write_config(tmp_path, SMALL_COMPARISON)
         run_experiment(cfg_path, out_dir=tmp_path / "par", threads=3)
         assert len(built) == 1  # six jobs, one model, one dense solve

@@ -425,14 +425,14 @@ class TestPerModelValues:
 
     def test_concurrent_callers_build_once(self, monkeypatch):
         builds = []
-        draw = envs._draw_states
+        draw = envs._sample
 
         def slow_draw(env, n, seed):
             builds.append(seed)
             time.sleep(0.05)
             return draw(env, n, seed)
 
-        monkeypatch.setattr(envs, "_draw_states", slow_draw)
+        monkeypatch.setattr(envs, "_sample", slow_draw)
         model = make_arch(3, 0.5, 0.9, 3)
         results = [None] * 8
 
@@ -458,11 +458,16 @@ class TestPerModelValues:
         with pytest.raises(ValueError, match="n must be positive"):
             envs.stationary_states(self.MODELS[kind](), 0, 1)
 
-    def test_unsupported_kind(self):
+    @pytest.mark.parametrize("read", [
+        lambda x: envs.stationary_states(x, 10, 0),
+        true_value,
+        lambda x: envs.sample_transitions(x, 10, 0),
+        envs.env_params,
+        lambda x: next(envs.vi_iterates(x)),
+    ], ids=["stationary_states", "true_value", "sample_transitions", "env_params", "vi_iterates"])
+    def test_unsupported_kind(self, read):
         with pytest.raises(ValueError, match="unsupported model kind"):
-            envs.stationary_states(object(), 10, 0)
-        with pytest.raises(ValueError, match="unsupported model kind"):
-            true_value("not a model")
+            read("not a model")
 
 
 class TestGroundTruthBellmanConsistency:
