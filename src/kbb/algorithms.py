@@ -22,7 +22,9 @@ from .lstd import (
     solve_linear_system,
     span_correlation,
 )
-from .mrp import TabularModel, mu_norm, solve_exact, stationary_distribution
+# stationary_distribution stays bound here, unused, because perfbench/spans.py
+# wraps it by name in every module that imports it.
+from .mrp import TabularModel, mu_norm, solve_exact, stationary_distribution  # noqa: F401
 from .records import RunRecord
 from .regression import RegressorConfig, backup_targets, fit
 from .values import ConstantValueFn, ScaledValueFn, TableValueFn
@@ -270,7 +272,7 @@ def oracle_kbb(model: TabularModel, max_iters: int, _trace: list | None = None) 
     exact Bellman residual and LSTD is the mu-weighted population system.
     ``_trace`` collects (iterate, basis size) from the zero start on.
     """
-    mu = stationary_distribution(model)
+    mu = envs.stationary_law(model)
     v_star = solve_exact(model)
     record = RunRecord(
         algo="kbb",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import envs
 from .algorithms import oracle_kbb
 from .lstd import BasisSet
 from .mrp import (
@@ -24,7 +25,7 @@ from .mrp import (
     mu_dot,
     mu_norm,
     solve_exact,
-    stationary_distribution,
+    stationary_distribution,  # noqa: F401  (unused; perfbench/spans.py wraps it here by name)
 )
 from .values import TableValueFn
 
@@ -54,7 +55,7 @@ class QOperator:
 
     def __init__(self, model: TabularModel, mu: Distribution | None = None):
         self.model = model
-        self.mu = mu if mu is not None else stationary_distribution(model)
+        self.mu = mu if mu is not None else envs.stationary_law(model)
         n = model.n_states
         self.q_mat = np.eye(n) - model.gamma * model.trans
         self.q_inv = np.linalg.solve(self.q_mat, np.eye(n))

@@ -446,24 +446,23 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _tabular_law(model: TabularModel) -> tuple:
-    """(stationary law, its CDF, the CDF of every transition row), with each
+def stationary_law(model: TabularModel) -> Distribution:
+    """The stationary distribution of a tabular model, solved once per model object."""
+    return _memo(model, "stationary_law", lambda: stationary_distribution(model))
+
+
+def _tabular_cdfs(model: TabularModel) -> tuple:
+    """(CDF of the stationary law, CDF of every transition row), with each
     CDF's last entry set to exactly 1; built once per model object."""
 
     def build():
-        mu = stationary_distribution(model)
-        cdf_mu = np.cumsum(mu.weights)
+        cdf_mu = np.cumsum(stationary_law(model).weights)
         cdf_mu[-1] = 1.0
         cdf_rows = np.cumsum(model.trans, axis=1)
         cdf_rows[:, -1] = 1.0
-        return mu, _read_only(cdf_mu), _read_only(cdf_rows)
+        return _read_only(cdf_mu), _read_only(cdf_rows)
 
-    return _memo(model, "tabular_law", build)
-
-
-def stationary_law(model: TabularModel) -> Distribution:
-    """The stationary distribution of a tabular model, solved once per model object."""
-    return _tabular_law(model)[0]
+    return _memo(model, "tabular_cdfs", build)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +502,7 @@ def _sample_tabular(model: TabularModel, n: int, rng: np.random.Generator) -> tu
     once over its own draws; each draw meets the same comparisons as a
     search of its row alone.
     """
-    _, cdf_mu, cdf_rows = _tabular_law(model)
+    cdf_mu, cdf_rows = _tabular_cdfs(model)
     states = np.searchsorted(cdf_mu, rng.random(n), side="right").astype(np.int64)
     u = rng.random(n)
     order = np.argsort(states.astype(np.min_scalar_type(model.n_states - 1)), kind="stable")
@@ -520,9 +519,10 @@ def _sample_tabular(model: TabularModel, n: int, rng: np.random.Generator) -> tu
 
 
 def _sample_lqr(model: LqrModel, n: int, rng: np.random.Generator) -> tuple:
-    s_inf = stationary_covariance(model)
-    x = rng.standard_normal((n, model.d)) @ _psd_factor(s_inf).T
-    w = rng.standard_normal((n, model.d)) @ _psd_factor(model.noise_cov).T
+    state_factor, noise_factor = _memo(model, "lqr_factors", lambda: tuple(
+        _read_only(_psd_factor(cov).T) for cov in (stationary_covariance(model), model.noise_cov)))
+    x = rng.standard_normal((n, model.d)) @ state_factor
+    w = rng.standard_normal((n, model.d)) @ noise_factor
     x_next = x @ model.closed_loop.T + w
     return x, _quad_rewards(x, model.cost_mat), x_next
 

@@ -6,7 +6,8 @@ Two regressor kinds sit behind one fit/evaluate contract:
   least-squares minimizer over unrestricted state functions; unvisited
   states evaluate to 0.
 * ``boosted_trees``: least-squares gradient boosting of depth-limited CART
-  trees, initialized at the global target mean.
+  trees, initialized at the global target mean, scored through QuickScorer
+  bitmask tables built once per ensemble (``trees.bitmask_table``).
 
 Both are deterministic given (data, config, seed).
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import Dataset
-from .trees import BLOCK_CELLS, RegressionTree, node_table, presort, walk
+from .trees import BLOCK_CELLS, RegressionTree, bitmask_table, bitmask_values, node_table, presort, walk
 from .values import StateValueFn, TableValueFn, as_states
 
 __all__ = [
@@ -58,10 +59,12 @@ class RegressorConfig:
 class BoostedTreesFn(StateValueFn):
     """Additive tree ensemble: base value plus learning_rate-weighted trees.
 
-    Evaluation stacks the trees' nodes once per call and walks all trees at
-    once through ``trees.walk``, in blocks of about ``trees.BLOCK_CELLS`` rows
-    x trees so the walk stays cache-resident; each block's (rows, trees) leaf
-    matrix is summed along its rows.
+    The QuickScorer tables of the trees (``trees.bitmask_table``) are built
+    once, here; an ensemble with a tree of more than 64 leaves keeps the
+    stacked nodes for ``trees.walk`` instead.  Evaluation scores blocks of
+    about ``trees.BLOCK_CELLS`` rows x trees, so each block's arrays stay
+    cache-resident, and sums each block's (rows, trees) leaf matrix along
+    its rows, which gives the walk's sums bit for bit.
     """
 
     def __init__(self, base_value: float, learning_rate: float, trees, train_mse_path):
@@ -69,17 +72,21 @@ class BoostedTreesFn(StateValueFn):
         self.learning_rate = float(learning_rate)
         self.trees = list(trees)
         self.train_mse_path = np.asarray(train_mse_path, dtype=np.float64)
+        self._table, self._leaves = None, None
+        if self.trees:
+            self._table, self._leaves = bitmask_table(self.trees), bitmask_values
+            if self._table is None:
+                self._table, self._leaves = node_table(self.trees), walk
 
     def __call__(self, states):
         x = _features(as_states(states))
         n = x.shape[0]
         if not self.trees:
             return np.full(n, self.base_value)
-        table = node_table(self.trees)
         block = max(1, BLOCK_CELLS // len(self.trees))
         out = np.empty(n)
         for start in range(0, n, block):
-            out[start : start + block] = walk(table, x[start : start + block]).sum(axis=1)
+            out[start : start + block] = self._leaves(self._table, x[start : start + block]).sum(axis=1)
         return self.base_value + self.learning_rate * out
 
     def __repr__(self):
@@ -104,6 +111,8 @@ def _normalize_pairs(pairs):
         raise ValueError("state and target counts differ")
     if not np.isfinite(targets).all():
         raise ValueError("targets must be finite")
+    if not np.isfinite(states).all():
+        raise ValueError("states must be finite")
     return states, targets
 
 
@@ -157,8 +166,8 @@ def _fit_boosted(states, targets, config: RegressorConfig, seed: int) -> Boosted
 def fit(pairs, config: RegressorConfig, seed: int = 0):
     """Fit the configured regressor to (state, target) pairs.
 
-    ``pairs`` is a tuple of (states, targets) arrays.  Returns an evaluable
-    fitted function.
+    ``pairs`` is a tuple of (states, targets) arrays, both finite.  Returns
+    an evaluable fitted function.
     """
     states, targets = _normalize_pairs(pairs)
     if config.kind == "tabular_mean":

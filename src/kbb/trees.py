@@ -15,16 +15,33 @@ order, so the trees are those of a per-node stable argsort, bit for bit.
 A fit allocates each node's two children next to each other, so the walk
 needs only ``right``: one step is ``right - (x <= threshold)``, and leaves
 loop to themselves behind NaN thresholds.  ``walk`` runs all trees of a
-``node_table`` at once.  ``leaf_values`` builds the table and walks it for
-``RegressionTree.predict``; a boosted ensemble builds it once per evaluation
-and walks it block by block.
+``node_table`` at once; ``leaf_values`` builds the table and walks it for
+``RegressionTree.predict``, where one tree walks faster than it builds and
+scores tables.
+
+A boosted ensemble is scored by QuickScorer (Lucchese et al., SIGIR 2015):
+``bitmask_table`` builds, once per ensemble, one table of ANDed node masks
+per feature, and ``bitmask_values`` finds each row's exit leaf in every tree
+with one ``searchsorted`` per feature.  It is exact: it reaches the walk's
+leaf, with NaN rows going right and rows on a threshold going left.  Masks
+hold up to 64 leaves; an ensemble with a larger tree keeps the walk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BLOCK_CELLS", "RegressionTree", "best_split", "leaf_values", "node_table", "presort", "walk"]
+__all__ = [
+    "BLOCK_CELLS",
+    "RegressionTree",
+    "best_split",
+    "bitmask_table",
+    "bitmask_values",
+    "leaf_values",
+    "node_table",
+    "presort",
+    "walk",
+]
 
 # Rows x trees walked per block of an ensemble evaluation: the block's index
 # arrays stay within L2.
@@ -63,6 +80,23 @@ def best_split(sv: np.ndarray, sy: np.ndarray, min_leaf: int):
     return float(score[f, j]), f, float(0.5 * (sv[f, lo + j] + sv[f, lo + j + 1]))
 
 
+def _stacked(trees) -> tuple:
+    """(roots, feature, threshold, right, value, levels) of all trees' nodes,
+    stacked in tree order with ``right`` offset to match; ``levels`` lists
+    the reachable internal nodes level by level from the roots."""
+    roots = np.cumsum([0] + [t.feature.shape[0] for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    right = np.concatenate([t.right + root for t, root in zip(trees, roots)])
+    levels = []
+    frontier = roots[feature[roots] >= 0]
+    while frontier.size:
+        levels.append(frontier)
+        children = np.concatenate([right[frontier] - 1, right[frontier]])
+        frontier = children[feature[children] >= 0]
+    threshold = np.concatenate([t.threshold for t in trees])
+    return roots, feature, threshold, right, np.concatenate([t.value for t in trees]), levels
+
+
 def node_table(trees) -> tuple:
     """The stacked nodes of all trees, as ``walk`` reads them.
 
@@ -70,20 +104,10 @@ def node_table(trees) -> tuple:
     feature 0, a NaN threshold and ``right`` pointing at themselves, and
     depth counts the levels of internal nodes of the deepest tree.
     """
-    offsets = np.cumsum([0] + [t.feature.shape[0] for t in trees[:-1]])
-    feature = np.concatenate([t.feature for t in trees])
+    roots, feature, threshold, right, value, levels = _stacked(trees)
     is_leaf = feature < 0
-    right = np.concatenate([t.right + off for t, off in zip(trees, offsets)])
     right = np.where(is_leaf, np.arange(feature.shape[0]), right)
-    threshold = np.where(is_leaf, np.nan, np.concatenate([t.threshold for t in trees]))
-    depth = 0
-    frontier = offsets[~is_leaf[offsets]]
-    while frontier.size:
-        depth += 1
-        children = np.concatenate([right[frontier] - 1, right[frontier]])
-        frontier = children[~is_leaf[children]]
-    value = np.concatenate([t.value for t in trees])
-    return offsets, np.where(is_leaf, 0, feature), threshold, right, value, depth
+    return roots, np.where(is_leaf, 0, feature), np.where(is_leaf, np.nan, threshold), right, value, len(levels)
 
 
 def walk(table: tuple, x: np.ndarray) -> np.ndarray:
@@ -96,6 +120,70 @@ def walk(table: tuple, x: np.ndarray) -> np.ndarray:
     for _ in range(depth):
         idx = right[idx] - (flat[base + feature[idx]] <= threshold[idx])
     return value[idx]
+
+
+def bitmask_table(trees) -> tuple | None:
+    """QuickScorer tables of an ensemble, as ``bitmask_values`` reads them,
+    or None when a tree has more than 64 leaves.
+
+    Each tree's leaves are numbered left to right, and each internal node's
+    mask clears the bits of the leaves of its left subtree.  A row leaves a
+    tree at the lowest bit left set in the AND of the masks of the nodes it
+    fails (x > threshold).  For each feature, every tree's thresholds on it
+    are sorted stably, and row k of the feature's (thresholds + 1, trees)
+    prefix table holds, per tree, the AND of the masks of the k smallest.
+    Returns (a (feature, sorted thresholds, prefix table) triple per split
+    feature, the leaf values as a flat (trees, width) array, and each tree's
+    offset into it less one).
+    """
+    roots, feature, threshold, right, value, levels = _stacked(trees)
+    tree_of = np.repeat(np.arange(len(trees)), [t.feature.shape[0] for t in trees])
+    inner = np.concatenate([np.empty(0, dtype=np.int64)] + levels)
+    left = right[inner] - 1
+    n_leaves = (feature < 0).astype(np.int64)  # leaves under each node
+    for nodes in reversed(levels):
+        n_leaves[nodes] = n_leaves[right[nodes] - 1] + n_leaves[right[nodes]]
+    width = int(n_leaves[roots].max())
+    if width > 64:
+        return None
+    first = np.zeros(feature.shape[0], dtype=np.int64)  # number of the node's leftmost leaf
+    for nodes in levels:
+        first[right[nodes] - 1] = first[nodes]
+        first[right[nodes]] = first[nodes] + n_leaves[right[nodes] - 1]
+    reached = np.concatenate([roots, left, left + 1])
+    leaves = reached[feature[reached] < 0]
+    leaf_value = np.zeros(len(trees) * width)
+    leaf_value[tree_of[leaves] * width + first[leaves]] = value[leaves]
+
+    # A left subtree holds at most 63 of its tree's leaves, so no shift overflows.
+    dtype = next(dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64) if width <= np.iinfo(dt).bits)
+    span = (np.uint64(1) << n_leaves[left].astype(np.uint64)) - np.uint64(1)
+    mask = (~(span << first[inner].astype(np.uint64))).astype(dtype)
+    features = []
+    for f in np.unique(feature[inner]).tolist():
+        nodes = np.flatnonzero(feature[inner] == f)
+        nodes = nodes[np.argsort(threshold[inner[nodes]], kind="stable")]
+        prefix = np.full((nodes.shape[0] + 1, len(trees)), np.iinfo(dtype).max, dtype=dtype)
+        prefix[np.arange(1, nodes.shape[0] + 1), tree_of[inner[nodes]]] = mask[nodes]
+        features.append((f, threshold[inner[nodes]], np.bitwise_and.accumulate(prefix, axis=0)))
+    return features, leaf_value, np.arange(len(trees)) * width - 1
+
+
+def bitmask_values(table: tuple, x: np.ndarray) -> np.ndarray:
+    """(rows, trees) matrix of the leaf value each row of x reaches in each
+    tree of ``table``, equal to ``walk``'s: a row equal to a threshold goes
+    left, and a NaN, which sorts after every threshold, goes right."""
+    features, leaf_value, offsets = table
+    m = None
+    for f, thr, prefix in features:
+        masks = prefix[np.searchsorted(thr, x[:, f], side="left")]
+        m = masks if m is None else np.bitwise_and(m, masks, out=m)
+    if m is None:  # no tree splits: every row reaches leaf 0
+        m = np.ones((x.shape[0], offsets.shape[0]), dtype=np.uint8)
+    # bitwise_count(m ^ (m - 1)) is one more than the lowest set bit of m.
+    below = m - 1
+    np.bitwise_xor(below, m, out=below)
+    return leaf_value.take(np.bitwise_count(below) + offsets)
 
 
 def leaf_values(trees, x: np.ndarray) -> np.ndarray:
@@ -193,4 +281,7 @@ class RegressionTree:
         left, right = tree.left[inner], tree.right[inner]
         if not (np.all(right == left + 1) and np.all(left > inner) and np.all(right < tree.feature.shape[0])):
             raise ValueError("each internal node needs children left > node and right == left + 1, in range")
+        # Sorted-threshold tables (``bitmask_table``) cannot place a NaN.
+        if np.isnan(tree.threshold[inner]).any():
+            raise ValueError("internal node thresholds must not be NaN")
         return tree

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from kbb import envs
+from kbb import algorithms, diagnostics, envs
 from kbb.envs import (
     ArchModel,
     DrawMode,
@@ -452,6 +452,28 @@ class TestPerModelValues:
         assert not any(t.is_alive() for t in threads)
         assert builds == [9]
         assert all(r is results[0] for r in results)
+
+    @pytest.mark.parametrize("kind", ["lqr", "nonlinear"])
+    def test_lqr_covariance_solved_once(self, kind, monkeypatch):
+        solves = []
+        monkeypatch.setattr(envs, "stationary_covariance", lambda m: solves.append(m) or stationary_covariance(m))
+        model = self.MODELS[kind]()
+        draws = [envs.sample_transitions(model, 50, seed) for seed in (1, 2, 1)]
+        assert len(solves) == 1
+        assert np.array_equal(draws[0].states, draws[2].states)
+        assert np.array_equal(draws[1].next_states, envs.sample_transitions(self.MODELS[kind](), 50, 2).next_states)
+        assert len(solves) == 2
+
+    def test_tabular_law_solved_once(self, monkeypatch):
+        solves = []
+        for module in (envs, diagnostics, algorithms):
+            monkeypatch.setattr(module, "stationary_distribution",
+                                lambda m: solves.append(m) or stationary_distribution(m))
+        walk = make_circular_walk(20, 0.9, 0)
+        diagnostics.check_theorem1_rate(walk, 5)
+        diagnostics.spectra_table(walk, 5)
+        envs.sample_transitions(walk, 50, 1)
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_no_states_is_an_error(self, kind):

@@ -4,11 +4,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kbb.envs import make_circular_walk, sample_transitions
 from kbb.mrp import solve_exact
 from kbb.regression import RegressorConfig, backup_targets, fit
-from kbb.trees import BLOCK_CELLS, RegressionTree, best_split, leaf_values
+from kbb.trees import BLOCK_CELLS, RegressionTree, best_split, bitmask_table, bitmask_values, leaf_values
 from kbb.values import TableValueFn
 
 # A fitted tree's node arrays, in the order the hash pin reads them.
@@ -237,6 +239,12 @@ class TestNodeLayout:
         with pytest.raises(ValueError, match="internal node"):
             RegressionTree.from_arrays(self.arrays(**changes), max_depth=2, min_leaf=1)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            RegressionTree.from_arrays(self.arrays(threshold=[0.0, np.nan, 0.0, 0.0, 0.0]), max_depth=2, min_leaf=1)
+        # a leaf's threshold is never read
+        RegressionTree.from_arrays(self.arrays(threshold=[0.0, 1.0, np.nan, 0.0, 0.0]), max_depth=2, min_leaf=1)
+
     def test_fitted_trees_have_the_layout(self):
         x = np.random.default_rng(4).normal(size=(300, 2))
         tree = RegressionTree(5, 3).fit(x, x[:, 0] * x[:, 1])
@@ -244,6 +252,69 @@ class TestNodeLayout:
         assert inner.sum() > 3
         assert np.array_equal(tree.right[inner], tree.left[inner] + 1)
         RegressionTree.from_arrays({key: getattr(tree, key) for key in LAYOUT}, 5, 3)
+
+
+def scored_rows(trees, x, rng):
+    """Rows of x, rows on every split threshold, and rows with NaN and +-inf entries."""
+    inner = [(f, thr) for t in trees for f, thr in zip(t.feature, t.threshold) if f >= 0]
+    on = x[rng.integers(0, x.shape[0], size=len(inner))].copy()
+    for row, (f, thr) in zip(on, inner):
+        row[f] = thr
+    odd = x[rng.integers(0, x.shape[0], size=3 * x.shape[1])].copy()
+    for i, row in enumerate(odd):
+        row[i % x.shape[1]] = (np.nan, np.inf, -np.inf)[i // x.shape[1]]
+    return np.vstack([x, on, odd, np.full((1, x.shape[1]), np.nan)])
+
+
+class TestBitmaskScoring:
+    """QuickScorer tables against the walk and the per-row reference, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 7), st.integers(1, 8), st.sampled_from([0.6, 1.0]), st.integers(1, 6),
+           st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(3, 1, 1.0, 3, 2, False, 0)  # uint8 masks
+    @example(4, 1, 0.6, 3, 2, True, 1)  # uint16
+    @example(5, 1, 1.0, 3, 3, False, 2)  # uint32
+    @example(6, 1, 0.6, 3, 2, False, 3)  # uint64
+    @example(7, 1, 1.0, 3, 2, False, 4)  # past 64 leaves: the walk
+    def test_matches_walk_and_reference(self, max_depth, min_leaf, subsample, n_trees, d, rounded, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(300, d))
+        if rounded:  # ties in the features and on the thresholds
+            x = np.round(x, 1)
+        # a near-linear target fills deep trees: depth 7 reaches 95 leaves
+        y = x[:, 0] + 0.5 * np.sin(3 * x[:, -1]) + 0.1 * rng.normal(size=300)
+        cfg = RegressorConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, subsample=subsample)
+        f = fit((x, y), cfg, seed=seed)
+        grid = scored_rows(f.trees, x, rng)
+        ref = reference_leaf_values(f.trees, grid)
+        assert np.array_equal(leaf_values(f.trees, grid), ref)
+        assert np.array_equal(f(grid), f.base_value + f.learning_rate * ref.sum(axis=1))
+        widest = max(int((t.feature < 0).sum()) for t in f.trees)
+        table = bitmask_table(f.trees)
+        if widest > 64:
+            assert table is None
+            return
+        assert np.array_equal(bitmask_values(table, grid), ref)
+        want = next(dt for bits, dt in ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
+                    if widest <= bits)
+        assert all(prefix.dtype == want for _, _, prefix in table[0])
+
+    @pytest.mark.parametrize("max_depth,dtype", [(3, np.uint8), (4, np.uint16), (5, np.uint32),
+                                                 (6, np.uint64), (7, None)])
+    def test_mask_width_follows_the_leaf_count(self, max_depth, dtype):
+        # a linear target splits near the median, so the trees fill up
+        x = np.random.default_rng(5).normal(size=(600, 2))
+        f = fit((x, x[:, 0] + 0.1 * x[:, 1]), RegressorConfig(n_trees=2, max_depth=max_depth, min_leaf=1))
+        assert 2 ** (max_depth - 1) < max((t.feature < 0).sum() for t in f.trees) <= 2**max_depth
+        table = bitmask_table(f.trees)
+        assert (table is None) if dtype is None else table[0][0][2].dtype == dtype
+        assert np.array_equal(f(x), f.base_value + f.learning_rate * reference_leaf_values(f.trees, x).sum(axis=1))
+
+    def test_unsplit_trees_reach_leaf_zero(self):
+        x = np.arange(6.0).reshape(3, 2)
+        trees = [RegressionTree(0, 1).fit(x, np.full(3, v)) for v in (1.5, -2.0)]
+        assert np.array_equal(bitmask_values(bitmask_table(trees), x), [[1.5, -2.0]] * 3)
 
 
 class TestFittedValues:
@@ -461,6 +532,15 @@ class TestBoostedTrees:
     def test_non_finite_targets_rejected(self):
         with pytest.raises(ValueError):
             fit((np.array([0, 1]), np.array([1.0, np.inf])), RegressorConfig())
+
+    @pytest.mark.parametrize("x", [
+        np.repeat([[-np.inf], [np.inf]], 5, axis=0),  # would split at a NaN midpoint
+        np.array([[0.0, 1.0], [0.0, np.nan]] * 5),
+        np.array([[0.0, 1.0], [np.inf, 0.0]] * 5),
+    ], ids=["both-infinities", "nan", "inf"])
+    def test_non_finite_states_rejected(self, x):
+        with pytest.raises(ValueError, match="states must be finite"):
+            fit((x, np.tile([0.0, 1.0], 5)), RegressorConfig(n_trees=2, max_depth=2, min_leaf=1))
 
 
 class TestTargets:
