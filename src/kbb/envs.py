@@ -451,16 +451,43 @@ def stationary_law(model: TabularModel) -> Distribution:
     return _memo(model, "stationary_law", lambda: stationary_distribution(model))
 
 
+def _guide(cdfs: np.ndarray, nonzeros: int) -> np.ndarray:
+    """Cutpoint guide (Chen & Asau 1974) of CDF rows that each end in 1.0:
+    ``guide[r, b]`` counts the entries of row r that are <= b / B, for B
+    buckets, and ``guide[r, B]`` is the last index.
+
+    A draw u in bucket b = int(u * B) (exact: B is a power of two) has its
+    ``searchsorted(row, u, side="right")`` in ``[guide[r, b], guide[r, b + 1]]``.
+    B is the power of two at or above 4 x the widest row's ``nonzeros``,
+    capped so that the table takes no more bytes than the CDFs, and the
+    counts are as narrow an unsigned type as the row width allows.
+    """
+    width = cdfs.shape[1]
+    dtype = np.min_scalar_type(width - 1)
+    fits = (cdfs.itemsize * width) // dtype.itemsize - 1
+    buckets = min(1 << (4 * int(nonzeros) - 1).bit_length(), 1 << (fits.bit_length() - 1))
+    grid = np.arange(buckets) / buckets
+    guide = np.empty((cdfs.shape[0], buckets + 1), dtype=dtype)
+    for row, counts in zip(cdfs, guide):
+        counts[:-1] = np.searchsorted(row, grid, side="right")
+    guide[:, -1] = width - 1
+    return guide
+
+
 def _tabular_cdfs(model: TabularModel) -> tuple:
-    """(CDF of the stationary law, CDF of every transition row), with each
-    CDF's last entry set to exactly 1; built once per model object."""
+    """(CDF of the stationary law as a 1-row table, CDF of every transition
+    row), each CDF's last entry set to exactly 1, and the ``_guide`` of each;
+    built once per model object."""
 
     def build():
-        cdf_mu = np.cumsum(stationary_law(model).weights)
-        cdf_mu[-1] = 1.0
+        weights = stationary_law(model).weights
+        cdf_mu = np.cumsum(weights)[None, :]
+        cdf_mu[0, -1] = 1.0
         cdf_rows = np.cumsum(model.trans, axis=1)
         cdf_rows[:, -1] = 1.0
-        return _read_only(cdf_mu), _read_only(cdf_rows)
+        return tuple(_read_only(arr) for arr in (
+            cdf_mu, _guide(cdf_mu, np.count_nonzero(weights)),
+            cdf_rows, _guide(cdf_rows, np.count_nonzero(model.trans, axis=1).max())))
 
     return _memo(model, "tabular_cdfs", build)
 
@@ -493,28 +520,54 @@ def _quad_rewards(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ij,nj->n", x, c, x)
 
 
-def _sample_tabular(model: TabularModel, n: int, rng: np.random.Generator) -> tuple:
-    """States from the stationary law, then each next state by a search of
-    its state's transition CDF.
+def _guided_search(cdfs: np.ndarray, guide: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
+    """``searchsorted(cdfs[rows[i]], u[i], side="right")`` for every draw i,
+    as int64; ``rows`` is each draw's row, or one row for all draws.
 
-    The draws are grouped by state with one stable sort (a radix sort on a
-    key as narrow as the state count allows), so each state's search runs
-    once over its own draws; each draw meets the same comparisons as a
-    search of its row alone.
+    The guide brackets each answer in ``[lo, hi]``.  One comparison with
+    entry ``lo`` settles every draw with ``hi - lo <= 1``: when ``lo == hi``
+    that entry is above u, since ``lo`` is the answer.  The draws with wider
+    brackets bisect them, all at once, on the flat CDFs; the brackets end at
+    most at the last index, so no probe leaves its row.
+
+    The answers are exact without a monotonicity check: entries are
+    cumulative sums of nonnegative numbers up to the last one, which is 1.0,
+    and every u is below 1.0, so ``row[j] <= u`` holds on a prefix of each
+    row, and any correct search of a prefix finds its length.
     """
-    cdf_mu, cdf_rows = _tabular_cdfs(model)
-    states = np.searchsorted(cdf_mu, rng.random(n), side="right").astype(np.int64)
-    u = rng.random(n)
-    order = np.argsort(states.astype(np.min_scalar_type(model.n_states - 1)), kind="stable")
-    counts = np.bincount(states, minlength=model.n_states)
-    edges = np.concatenate(([0], np.cumsum(counts))).tolist()
-    u_grouped = u[order]
-    nxt_grouped = np.empty(n, dtype=np.int64)
-    for s in np.flatnonzero(counts).tolist():
-        lo, hi = edges[s], edges[s + 1]
-        nxt_grouped[lo:hi] = np.searchsorted(cdf_rows[s], u_grouped[lo:hi], side="right")
-    nxt = np.empty(n, dtype=np.int64)
-    nxt[order] = nxt_grouped
+    flat, flat_guide = cdfs.ravel(), guide.ravel()
+    key = (u * (guide.shape[1] - 1)).astype(np.intp)
+    key += rows * guide.shape[1]
+    lo = flat_guide[key]
+    key += 1
+    wide = np.flatnonzero(flat_guide[key] - lo > 1)
+    span = flat_guide[key[wide]] - lo[wide]
+    del key
+    pos = lo.astype(np.intp)
+    pos += rows * cdfs.shape[1]
+    step = flat[pos] <= u
+    start = pos[wide]
+    del pos
+    out = lo.astype(np.int64)
+    out += step
+    if wide.size:
+        a, b, v = start, start + span, u[wide]
+        for _ in range(int(span.max()).bit_length()):
+            mid = (a + b) >> 1
+            right = flat[mid] <= v
+            a = np.where(right, mid + 1, a)
+            b = np.where(right, b, mid)
+        out[wide] = lo[wide] + (a - start)
+    return out
+
+
+def _sample_tabular(model: TabularModel, n: int, rng: np.random.Generator) -> tuple:
+    """States from the stationary law, then each next state from its state's
+    transition row, both by ``_guided_search`` of the CDFs, bit for bit what
+    a binary search of each draw's CDF gives."""
+    cdf_mu, guide_mu, cdf_rows, guide_rows = _tabular_cdfs(model)
+    states = _guided_search(cdf_mu, guide_mu, rng.random(n))
+    nxt = _guided_search(cdf_rows, guide_rows, rng.random(n), states)
     return states, model.reward[states], nxt
 
 

@@ -4,9 +4,12 @@ import hashlib
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbb import algorithms, diagnostics, envs
 from kbb.envs import (
@@ -30,7 +33,7 @@ from kbb.envs import (
     stationary_covariance,
     true_value,
 )
-from kbb.mrp import TabularModel, solve_exact, stationary_distribution
+from kbb.mrp import Distribution, TabularModel, solve_exact, stationary_distribution
 
 
 class TestRandomTabular:
@@ -341,14 +344,14 @@ def sample_digest(ds):
 
 
 class TestSamplersMatchReference:
-    """The grouped tabular and blocked ARCH samplers against test-only copies
-    of the samplers they replaced, bit for bit."""
+    """The guided tabular and blocked ARCH samplers against test-only copies
+    of earlier samplers, bit for bit."""
 
     @pytest.mark.parametrize(
         "model,n",
         [
             (make_circular_walk(400, 0.9, 1), 100_000),
-            (make_random_tabular(300, 0.9, 2), 20_000),  # a uint16 sort key
+            (make_random_tabular(300, 0.9, 2), 20_000),  # dense rows, uint16 guide tables
             (make_circular_walk(400, 0.9, 1), 50),  # most states undrawn
             (make_circular_walk(400, 0.9, 1), 1),
             (TabularModel(trans=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
@@ -389,6 +392,121 @@ class TestSamplersMatchReference:
         assert sample_digest(walk) == "8b9d1206d71858a1a258f4aefd061f8914f6113cb56b0b81070fb13ce15ddcb3"
         arch = sample_transitions(make_arch(5, 0.5, 0.9, 10), 2000, 3)
         assert sample_digest(arch) == "99a6287f62776f1ae8964e3f9d4f1a9fbabbb731bb0be087f00db1733148832a"
+
+
+def hub_chain(n, density, zero_share, seed):
+    """A random chain with one closed class: every row puts over half its
+    mass on a hub state whose own row reaches every recurrent state, rows
+    are otherwise kept with probability ``density``, and the states in about
+    ``zero_share`` of the columns are entered by no row, so their stationary
+    weight is exactly 0."""
+    rng = np.random.default_rng(seed)
+    trans = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < density)
+    hub = int(rng.integers(n))
+    zero = rng.uniform(size=n) < zero_share
+    zero[hub] = False
+    trans[hub] = rng.uniform(0.1, 1.0, size=n)
+    trans[:, zero] = 0.0
+    trans[:, hub] += trans.sum(axis=1) + rng.uniform(0.1, 1.0, size=n)
+    trans /= trans.sum(axis=1, keepdims=True)
+    return TabularModel(trans=trans, reward=rng.uniform(size=n), gamma=0.9)
+
+
+class TestGuidedTabularSampler:
+    """The cutpoint-guided tabular sampler: bit for bit what a binary search
+    of each draw's CDF gives, with tables built once per model object that
+    take no more bytes than the CDFs."""
+
+    def test_row_whose_cumsum_overshoots_one(self):
+        row = [0.18665256000226096, 0.14817231948955542, 0.5497833810364157,
+               0.06178872449162648, 0.05360301498014156, 0.0]
+        assert np.cumsum(row)[-2] > 1.0
+        trans = np.array([row, row[1:] + row[:1], row[2:] + row[:2], row, row, row])
+        model = TabularModel(trans=trans, reward=np.arange(6.0), gamma=0.9)
+        for seed in range(20):
+            assert_same_draws(sample_transitions(model, 2000, seed), reference_tabular(model, 2000, seed))
+
+    def test_single_state_chain(self):
+        model = TabularModel(trans=[[1.0]], reward=[2.0], gamma=0.9)
+        ds = sample_transitions(model, 1000, 3)
+        assert_same_draws(ds, reference_tabular(model, 1000, 3))
+        assert not ds.states.any() and not ds.next_states.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        density=st.sampled_from([0.05, 0.3, 1.0]),
+        zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_chains_match_reference(self, n, density, zero_share, seed):
+        model = hub_chain(n, density, zero_share, seed)
+        assert_same_draws(sample_transitions(model, 3000, seed), reference_tabular(model, 3000, seed))
+
+    @pytest.mark.parametrize("nonzeros", [1, 2, 8])
+    def test_search_at_ties_and_bucket_edges(self, nonzeros):
+        # Dyadic entries sit on bucket edges, repeated entries are ties, and
+        # the probes are every edge and every entry with their neighbours.
+        cdfs = np.array([
+            [0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0],
+            [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.1, 0.2, 0.3, 0.5, 1.0000000000000002, 1.0000000000000002, 1.0000000000000002, 1.0],
+        ])
+        guide = envs._guide(cdfs, nonzeros)
+        points = np.concatenate((np.arange(64) / 64, cdfs.ravel()))
+        u = np.unique(np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0))))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        rows = np.repeat(np.arange(len(cdfs)), len(u))
+        want = np.concatenate([np.searchsorted(row, u, side="right") for row in cdfs])
+        got = envs._guided_search(cdfs, guide, np.tile(u, len(cdfs)), rows)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_tables_built_once_per_model(self, monkeypatch):
+        builds = []
+        guide = envs._guide
+        monkeypatch.setattr(envs, "_guide", lambda cdfs, nonzeros: builds.append(cdfs.shape) or guide(cdfs, nonzeros))
+        walk = make_circular_walk(20, 0.9, 0)
+        draws = [sample_transitions(walk, 50, seed) for seed in (1, 2, 1)]
+        envs.stationary_states(walk, 30, 4)
+        assert builds == [(1, 20), (20, 20)]
+        assert_same_draws(draws[2], (draws[0].states, draws[0].rewards, draws[0].next_states))
+        tables = envs._tabular_cdfs(walk)
+        assert all(not t.flags.writeable for t in tables)
+        other = make_circular_walk(20, 0.9, 0)
+        assert_same_draws(sample_transitions(other, 50, 2), (draws[1].states, draws[1].rewards, draws[1].next_states))
+        assert len(builds) == 4
+        assert envs._tabular_cdfs(walk) is tables
+        assert all(a is not b for a, b in zip(tables, envs._tabular_cdfs(other)))
+
+    @pytest.mark.parametrize(
+        "model,grouped_peak",
+        [
+            # tracemalloc peaks of the grouped sampler that this one replaced
+            # (argsort, bincount, per-state loop, scatter): 22.42 MB on both.
+            (make_circular_walk(400, 0.9, 1), 22_424_043),
+            (make_random_tabular(300, 0.9, 2), 22_416_243),
+        ],
+        ids=["walk400", "random300"],
+    )
+    def test_peak_memory_at_most_the_grouped_sampler(self, model, grouped_peak):
+        sample_transitions(model, 10, 0)  # the law and the tables
+        tracemalloc.start()
+        try:
+            sample_transitions(model, 400_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grouped_peak
+
+    def test_tables_take_no_more_bytes_than_the_cdfs(self):
+        walk1001 = make_circular_walk(1001, 0.9, 1)
+        # The walk is doubly stochastic, so its law is uniform; solving it
+        # takes tens of seconds at this odd size.
+        envs._memo(walk1001, "stationary_law", lambda: Distribution(np.full(1001, 1.0 / 1001)))
+        for model in (make_circular_walk(400, 0.9, 1), walk1001, make_random_tabular(300, 0.9, 2)):
+            cdf_mu, guide_mu, cdf_rows, guide_rows = envs._tabular_cdfs(model)
+            assert guide_mu.nbytes <= cdf_mu.nbytes and guide_rows.nbytes <= cdf_rows.nbytes
 
 
 class TestPerModelValues:
