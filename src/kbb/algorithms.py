@@ -13,7 +13,9 @@ import time
 import numpy as np
 
 from . import envs
-from .envs import sample_transitions
+# sample_transitions stays bound here, unused, because perfbench/spans.py
+# wraps it by name in every module that imports it.
+from .envs import sample_transitions  # noqa: F401
 from .lstd import (
     DUPLICATE_CORRELATION,
     MIN_BASIS_NORM,
@@ -75,6 +77,13 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 _REG_STREAM, _LSTD_STREAM, _FIT_STREAM = 0, 1, 2
+
+
+def _draws(env, budget: IterationBudget, seed: int, streams: tuple):
+    """The run's datasets in the order its iterations take them: per
+    iteration t, one draw of ``budget.n_at(t)`` transitions per stream."""
+    return envs.transition_draws(env, [(budget.n_at(t), derive_seed(seed, t, stream))
+                                       for t in range(budget.max_iters) for stream in streams])
 
 
 class ErrorEvaluator:
@@ -152,13 +161,13 @@ def run_fvi(env, regressor_config: RegressorConfig, budget: IterationBudget, tru
     """Fitted value iteration: regress the sampled backup r + gamma v(x')."""
     evaluator, record = _start_run("fvi", env, truth, n_eval, eval_seed, config_hash, [seed],
                                    budget=budget.__dict__, regressor=regressor_config.__dict__)
+    draws = _draws(env, budget, seed, (_REG_STREAM,))
     v = ConstantValueFn(0.0)
     cum = 0
     for t in range(budget.max_iters):
         t0 = time.perf_counter()
-        n_t = budget.n_at(t)
-        data = sample_transitions(env, n_t, derive_seed(seed, t, _REG_STREAM))
-        cum += n_t
+        data = next(draws)
+        cum += len(data)
         targets = backup_targets(v, data, env.gamma)
         v = fit((data.states, targets), regressor_config, derive_seed(seed, t, _FIT_STREAM))
         err = evaluator(v)
@@ -249,19 +258,19 @@ def run_kbb(env, regressor_config: RegressorConfig, budget: IterationBudget, tru
     evaluator, record = _start_run("kbb", env, truth, n_eval, eval_seed, config_hash, [seed],
                                    budget=budget.__dict__, regressor=regressor_config.__dict__)
 
-    def draw_from(stream):
-        def draw(t):
-            n_t = budget.n_at(t)
-            data = sample_transitions(env, n_t, derive_seed(seed, t, stream))
-            return data.states, data.rewards, lambda basis: basis.evaluate(data.next_states), n_t
-        return draw
+    # With separate LSTD data, each iteration's REG draw is followed by its LSTD draw.
+    draws = _draws(env, budget, seed, (_REG_STREAM,) if budget.shared_data else (_REG_STREAM, _LSTD_STREAM))
+
+    def draw(t):
+        data = next(draws)
+        return data.states, data.rewards, lambda basis: basis.evaluate(data.next_states), len(data)
 
     def regress(t, states, targets):
         return fit((states, targets), regressor_config, derive_seed(seed, t, _FIT_STREAM))
 
-    return _kbb_loop(record, budget.max_iters, env.gamma, draw_from(_REG_STREAM), regress,
+    return _kbb_loop(record, budget.max_iters, env.gamma, draw, regress,
                      evaluator.states, evaluator.error_of_values,
-                     lstd_draw=None if budget.shared_data else draw_from(_LSTD_STREAM))
+                     lstd_draw=None if budget.shared_data else draw)
 
 
 def oracle_kbb(model: TabularModel, max_iters: int, _trace: list | None = None) -> RunRecord:

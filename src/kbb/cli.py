@@ -11,8 +11,9 @@ Environment overrides: KBB_OUT_DIR replaces the config's out_dir and
 KBB_THREADS (an integer >= 1) sets the worker-pool size for (algo, seed)
 pairs.
 
-Exit codes: 0 success, 2 invalid config or arguments, 1 runtime failure
-(partial results are kept, with a failure marker in the manifest).
+Exit codes: 0 success, 2 invalid config or arguments (a missing config
+file, or a run directory with no manifest or an incomplete run), 1 runtime
+failure (partial results are kept, with a failure marker in the manifest).
 """
 
 from __future__ import annotations
@@ -103,9 +104,14 @@ def _write_manifest(out: Path, manifest: dict):
 
 
 def _load_dir(run_dir) -> dict:
+    """A run directory's manifest and runs; only a complete run is read."""
     run_dir = Path(run_dir)
+    if not (run_dir / "manifest.json").is_file():
+        raise ConfigError(f"{run_dir}: not a run directory (no manifest.json)")
     with open(run_dir / "manifest.json", "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if manifest.get("status") != "complete":
+        raise ConfigError(f"{run_dir}: run status is {manifest.get('status')!r}, not 'complete'")
     runs = []
     for entry in manifest["runs"]:
         rows = load_run_csv(run_dir / entry["csv"])
@@ -320,6 +326,9 @@ def main(argv=None) -> int:
     out_override = os.environ.get("KBB_OUT_DIR")
     try:
         threads = _threads()
+        # A missing run directory is reported by _load_dir.
+        if args.command in ("run", "spectra") and not Path(args.config).is_file():
+            raise ConfigError(f"{args.config}: no such config file")
         if args.command == "run":
             out = run_experiment(args.config, out_dir=out_override, threads=threads)
             print(f"run complete: {out}")
@@ -335,9 +344,6 @@ def main(argv=None) -> int:
             rows = spectra(args.config, args.depth, args.out)
             print(f"computed {len(rows)} spectral rows")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -40,6 +40,7 @@ __all__ = [
     "true_value",
     "vi_iterates",
     "sample_transitions",
+    "transition_draws",
     "stationary_states",
     "stationary_law",
     "stationary_covariance",
@@ -585,34 +586,74 @@ def _sample_nonlinear(model: NonlinearModel, n: int, rng: np.random.Generator) -
     return nonlinear_from_z(z), rewards, nonlinear_from_z(z_next)
 
 
-def _sample_arch(model: ArchModel, n: int, rng: np.random.Generator) -> tuple:
-    """n (state, next state) pairs of one trajectory from the origin: the
-    first pair after ARCH_BURN_IN steps, then one every ARCH_STRIDE steps.
+def _sample_arch(model: ArchModel, chains: list) -> list:
+    """(states, rewards, next states) of each ``(n, rng)`` chain: n pairs of
+    one trajectory from the origin, the first pair after ARCH_BURN_IN steps,
+    then one every ARCH_STRIDE steps.  Each chain gets the bits it would get
+    alone.
 
-    The recursion runs on 1-d vectors.  Its noise is drawn ARCH_BLOCK steps
-    at a time and shaped by a stacked (k, 1, d) @ F product, which gives each
-    step the bits of a per-step (1, d) draw (a (k, d) @ F product need not).
+    Each chain draws its noise from its own generator ARCH_BLOCK steps at a
+    time, shaped by a stacked (b, 1, d) @ F product, which gives each step
+    the bits of a per-step (1, d) draw (a (b, d) @ F product need not).  The
+    chains run longest first, so the live ones are always a prefix.  While
+    k >= 2 chains are live they step together: a stacked (k, 1, d) @ L'
+    product runs one gemv per chain, as ``x @ L'`` does, and one einsum
+    takes every quadratic form, except at d = 2, where the batched einsum
+    groups the sum unlike the one-chain einsum and each form is taken
+    alone.  A lone live chain takes the one-chain step on a 1-d vector.
     Only the kept pairs are stored, so no array grows with the trajectory.
     """
     d = model.d
     factor = _psd_factor(model.noise_cov).T
     a_t, g_mat, q = model.a_mat.T, model.scale_mat, model.q_scalar
-    states = np.empty((n, d))
-    next_states = np.empty((n, d))
-    x = np.zeros(d)
-    steps = ARCH_BURN_IN + n * ARCH_STRIDE
-    keep, i = ARCH_BURN_IN, 0
-    for start in range(0, steps, ARCH_BLOCK):
-        noise = (rng.standard_normal((min(ARCH_BLOCK, steps - start), 1, d)) @ factor)[:, 0]
-        for t, w in enumerate(noise, start):
+
+    def quad(x):
+        if d == 2:
+            return np.array([np.einsum("i,ij,j->", xc, g_mat, xc) for xc in x])
+        return np.einsum("ki,ij,kj->k", x, g_mat, x)
+
+    order = sorted(range(len(chains)), key=lambda c: -chains[c][0])
+    ns = [chains[c][0] for c in order]
+    rngs = [chains[c][1] for c in order]
+    ends = [ARCH_BURN_IN + n * ARCH_STRIDE for n in ns]
+    # Kept pair i of chain c is row rows[i] + c: the live chains' pairs, pair by pair.
+    keeping = (np.array(ns) > np.arange(ns[0])[:, None]).sum(axis=1)
+    rows = np.cumsum(keeping) - keeping
+    states = np.empty((sum(ns), d))
+    next_states = np.empty_like(states)
+    x = np.zeros((len(ns), d))
+    keep, row, lo = ARCH_BURN_IN, 0, 0
+    # Segments of steps with a fixed live prefix, cut at block starts and chain ends.
+    for hi in sorted({*range(ARCH_BLOCK, ends[0], ARCH_BLOCK), *ends}):
+        k = sum(end > lo for end in ends)
+        block = lo - lo % ARCH_BLOCK
+        if lo == block:
+            noise = np.empty((min(ARCH_BLOCK, ends[0] - lo), k, d))
+            for c, (rng, end) in enumerate(zip(rngs[:k], ends)):
+                m = min(ARCH_BLOCK, end - lo)
+                noise[:m, c] = (rng.standard_normal((m, 1, d)) @ factor)[:, 0]
+        # A lone chain steps as a 1-d vector, k >= 2 chains as a (k, d) array.
+        live = 0 if k == 1 else slice(k)
+        xs, ws = x[live], noise[lo - block:hi - block, live]
+        for t, w in enumerate(ws, lo):
             if t == keep:
-                states[i] = x
-            x = x @ a_t + math.sqrt(q + np.einsum("i,ij,j->", x, g_mat, x)) * w
+                states[row:row + k] = xs
+            if k == 1:
+                xs = xs @ a_t + math.sqrt(q + np.einsum("i,ij,j->", xs, g_mat, xs)) * w
+            else:
+                xs = (xs[:, None, :] @ a_t)[:, 0] + np.sqrt(q + quad(xs))[:, None] * w
             if t == keep:
-                next_states[i] = x
-                i += 1
+                next_states[row:row + k] = xs
+                row += k
                 keep += ARCH_STRIDE
-    return states, _quad_rewards(states, model.cost_mat), next_states
+        x[live] = xs
+        lo = hi
+    out = [None] * len(ns)
+    for c, n in enumerate(ns):
+        at = slice(None) if len(ns) == 1 else rows[:n] + c
+        s = states[at]
+        out[order[c]] = (s, _quad_rewards(s, model.cost_mat), next_states[at])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +667,22 @@ def _sampled_states(model, n: int, seed: int) -> np.ndarray:
 
 def _nonlinear_states(model: NonlinearModel, n: int, seed: int) -> np.ndarray:
     return nonlinear_from_z(stationary_states(model.inner, n, seed))
+
+
+def _each_draw(env, specs: list):
+    # Through the module global, so a wrapped sample_transitions sees every draw.
+    for n, seed in specs:
+        yield sample_transitions(env, n, seed)
+
+
+def _lockstep_draws(model: ArchModel, specs: list):
+    for n, _ in specs:
+        _check_n(n)
+    drawn = _sample_arch(model, [(n, np.random.default_rng(seed)) for n, seed in specs]) if specs else []
+    # Hand each dataset over, keeping no reference to it.
+    drawn.reverse()
+    while drawn:
+        yield Dataset(*drawn.pop(), draw_mode=DrawMode.BURN_IN_TRAJECTORY)
 
 
 def _lqr_params(model: LqrModel) -> dict:
@@ -643,7 +700,8 @@ class _Kind:
     """What one model class does: its name in ``env_params``, its sampler
     ``(model, n, rng) -> (states, rewards, next states)``, its ground truth,
     its exact value-iteration iterates, its loggable parameters, the draw
-    mode of its datasets and how its evaluation states are drawn."""
+    mode of its datasets, how its evaluation states are drawn and how
+    ``transition_draws`` makes a list of draws."""
 
     name: str
     sample: Callable
@@ -652,6 +710,7 @@ class _Kind:
     params: Callable
     draw_mode: DrawMode = DrawMode.EXACT_STATIONARY
     draw_states: Callable = _sampled_states
+    draws: Callable = _each_draw
 
 
 _KINDS = {
@@ -668,9 +727,11 @@ _KINDS = {
         lambda m: _quadratic_iterates(_lqr_recursion(m.inner), nonlinear_to_z),
         lambda m: _lqr_params(m.inner), draw_states=_nonlinear_states,
     ),
-    # ARCH has no closed-form stationary law: its draws come from a burned-in trajectory.
+    # ARCH has no closed-form stationary law: its draws come from burned-in
+    # trajectories, and a list of draws steps its chains in lockstep.
     ArchModel: _Kind(
-        "arch", _sample_arch, arch_true_value, lambda m: _quadratic_iterates(_arch_recursion(m)),
+        "arch", lambda m, n, rng: _sample_arch(m, [(n, rng)])[0], arch_true_value,
+        lambda m: _quadratic_iterates(_arch_recursion(m)),
         lambda m: {
             "d": m.d,
             "q": m.q_scalar,
@@ -680,7 +741,7 @@ _KINDS = {
             "burn_in": ARCH_BURN_IN,
             "stride": ARCH_STRIDE,
         },
-        draw_mode=DrawMode.BURN_IN_TRAJECTORY,
+        draw_mode=DrawMode.BURN_IN_TRAJECTORY, draws=_lockstep_draws,
     ),
 }
 
@@ -711,10 +772,14 @@ def env_params(env) -> dict:
     return {"kind": kind.name, **kind.params(env)}
 
 
-def _sample(env, n: int, seed: int) -> tuple:
-    """(states, rewards, next states) of n transitions; states are drawn first."""
+def _check_n(n: int):
     if n < 1:
         raise ValueError("n must be positive")
+
+
+def _sample(env, n: int, seed: int) -> tuple:
+    """(states, rewards, next states) of n transitions; states are drawn first."""
+    _check_n(n)
     return _kind(env).sample(env, n, np.random.default_rng(seed))
 
 
@@ -726,6 +791,16 @@ def sample_transitions(env, n: int, seed: int) -> Dataset:
     subsampled with a stride, and the dataset records that mode.
     """
     return Dataset(*_sample(env, n, seed), draw_mode=_kind(env).draw_mode)
+
+
+def transition_draws(env, specs):
+    """An iterator over ``sample_transitions(env, n, seed)`` for each
+    ``(n, seed)`` of ``specs``, in order, bit for bit.
+
+    ARCH makes every draw on the first request, its chains stepped in
+    lockstep; every other kind makes each draw when it is requested.
+    """
+    return _kind(env).draws(env, list(specs))
 
 
 def stationary_states(env, n: int, seed: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,13 +85,16 @@ def json_text(obj) -> str:
 def write_atomic(path, text: str):
     """Write text to a temporary sibling of path, then rename it over path.
 
-    A failed write removes the temporary file and leaves any earlier file at
-    path intact.
+    Each call names its own temporary file, so writers of one path never
+    move each other's.  A failed write removes the temporary file and leaves
+    any earlier file at path intact.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # exclusive: only this call removes tmp
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with fh:
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -252,6 +252,25 @@ class TestRunExperiment:
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "spectra"])
+    def test_missing_config_file_is_named(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope.txt"
+        assert main([command, str(missing)] + (["--depth", "3"] if command == "spectra" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(missing) in err
+
+    def test_file_vanishing_mid_run_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a FileNotFoundError raised while running is a runtime failure, not a config error
+        cfg_path = write_config(tmp_path, MINIMAL_VI)
+        import kbb.cli as cli_mod
+
+        def vanish(env, cfg, algo, seed):
+            raise FileNotFoundError("synthetic: output directory removed")
+
+        monkeypatch.setattr(cli_mod, "_execute_one", vanish)
+        assert main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("runtime error: FileNotFoundError")
+
     def test_thread_pool_matches_sequential(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_COMPARISON)
         seq = run_experiment(cfg_path, out_dir=tmp_path / "seq", threads=1)
@@ -290,6 +309,53 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "runs" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "synthetic failure" in manifest["error"]
+
+
+def failed_run_dir(tmp_path, monkeypatch):
+    """A run directory whose manifest records a failed run with no runs."""
+    import kbb.cli as cli_mod
+
+    def boom(env, cfg, algo, seed):
+        raise RuntimeError("synthetic failure")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "_execute_one", boom)
+        with pytest.raises(RuntimeError):
+            run_experiment(write_config(tmp_path, MINIMAL_VI), out_dir=tmp_path / "failed")
+    return tmp_path / "failed"
+
+
+class TestRunDirectoryInputs:
+    """compare and plot read only complete run directories; anything else exits 2 naming it."""
+
+    @pytest.mark.parametrize("command", ["compare", "plot"])
+    def test_failed_run_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        run_dir = failed_run_dir(tmp_path, monkeypatch)
+        out = tmp_path / "result.out"
+        assert main([command, str(run_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(run_dir) in err and "'failed'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "plot"])
+    def test_incomplete_run_next_to_complete_exit_2(self, tmp_path, capsys, command):
+        good = run_experiment(write_config(tmp_path, MINIMAL_VI), out_dir=tmp_path / "good")
+        partial = tmp_path / "partial"
+        partial.mkdir()
+        manifest = json.loads((good / "manifest.json").read_text())
+        (partial / "manifest.json").write_text(json.dumps({**manifest, "status": "incomplete"}))
+        assert main([command, str(good), str(partial), "--out", str(tmp_path / "r.out")]) == 2
+        err = capsys.readouterr().err
+        assert str(partial) in err and "'incomplete'" in err
+
+    @pytest.mark.parametrize("command", ["compare", "plot"])
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()], ids=["missing", "no-manifest"])
+    def test_not_a_run_directory_exit_2(self, tmp_path, capsys, command, make):
+        run_dir = tmp_path / "runs"
+        make(run_dir)
+        assert main([command, str(run_dir), "--out", str(tmp_path / "r.out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(run_dir) in err
 
 
 class TestCompare:

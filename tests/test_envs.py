@@ -34,6 +34,7 @@ from kbb.envs import (
     true_value,
 )
 from kbb.mrp import Distribution, TabularModel, solve_exact, stationary_distribution
+from kbb.regression import RegressorConfig
 
 
 class TestRandomTabular:
@@ -392,6 +393,80 @@ class TestSamplersMatchReference:
         assert sample_digest(walk) == "8b9d1206d71858a1a258f4aefd061f8914f6113cb56b0b81070fb13ce15ddcb3"
         arch = sample_transitions(make_arch(5, 0.5, 0.9, 10), 2000, 3)
         assert sample_digest(arch) == "99a6287f62776f1ae8964e3f9d4f1a9fbabbb731bb0be087f00db1733148832a"
+
+
+def draws_one_at_a_time(env, specs):
+    return [sample_transitions(env, n, seed) for n, seed in specs]
+
+
+class TestLockstepDraws:
+    """``transition_draws`` steps ARCH chains in lockstep, each with the bits
+    of its own ``sample_transitions`` call, and draws every other kind one
+    call at a time, when asked."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("ns", [
+        [37],
+        [1, 140, 60],  # a one-pair chain among longer ones
+        [90, 1, 250, 90, 12, 1, 180, 33, 64],  # nine chains, ties included
+    ], ids=["1-chain", "3-chains", "9-chains"])
+    def test_each_chain_matches_its_own_draw(self, d, ns):
+        model = make_arch(d, 0.5, 0.9, d) if d % 2 else arch_with_full_noise(d, d)
+        specs = [(n, 100 * d + j) for j, n in enumerate(ns)]
+        got = list(envs.transition_draws(model, specs))
+        assert len(got) == len(specs)
+        for ds, want in zip(got, draws_one_at_a_time(model, specs)):
+            assert ds.draw_mode == DrawMode.BURN_IN_TRAJECTORY
+            assert_same_draws(ds, (want.states, want.rewards, want.next_states))
+
+    def test_noise_block_boundaries(self, monkeypatch):
+        # Chains ending mid-block, on a block start and in a last block of one step.
+        monkeypatch.setattr(envs, "ARCH_BLOCK", 7)
+        model = arch_with_full_noise(3, 4)
+        specs = [(38, 1), (7, 2), (14, 3), (37, 4)]
+        for ds, want in zip(envs.transition_draws(model, specs), draws_one_at_a_time(model, specs)):
+            assert_same_draws(ds, (want.states, want.rewards, want.next_states))
+
+    def test_arch_draws_all_on_the_first_request(self, monkeypatch):
+        calls = []
+        sample = envs._sample_arch
+        monkeypatch.setattr(envs, "_sample_arch", lambda m, chains: calls.append(len(chains)) or sample(m, chains))
+        draws = envs.transition_draws(make_arch(3, 0.5, 0.9, 3), [(5, 1), (8, 2), (3, 3)])
+        assert calls == []
+        assert [len(ds) for ds in draws] == [5, 8, 3]
+        assert calls == [3]
+
+    @pytest.mark.parametrize("env", [make_circular_walk(20, 0.9, 1), make_lqr(3, 2, 0.9, 1), make_nonlinear(0.9, 2)],
+                             ids=["tabular", "lqr", "nonlinear"])
+    def test_other_kinds_draw_on_request(self, env, monkeypatch):
+        calls = []
+        sample = envs.sample_transitions
+        monkeypatch.setattr(envs, "sample_transitions", lambda e, n, seed: calls.append((n, seed)) or sample(e, n, seed))
+        specs = [(50, 1), (20, 2)]
+        draws = envs.transition_draws(env, specs)
+        assert calls == []
+        for j, (ds, want) in enumerate(zip(draws, draws_one_at_a_time(env, specs))):
+            assert calls == specs[: j + 1]
+            assert_same_draws(ds, (want.states, want.rewards, want.next_states))
+
+    def test_rejects_a_draw_of_no_pairs(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            next(envs.transition_draws(make_arch(3, 0.5, 0.9, 3), [(5, 1), (0, 2)]))
+        assert list(envs.transition_draws(make_arch(3, 0.5, 0.9, 3), [])) == []
+
+    @pytest.mark.parametrize("model", [make_arch(2, 0.5, 0.9, 11), make_arch(5, 0.5, 0.9, 10)], ids=["d2", "d5"])
+    @pytest.mark.parametrize("run,shared", [
+        (algorithms.run_kbb, True), (algorithms.run_kbb, False), (algorithms.run_fvi, True),
+    ], ids=["kbb-shared", "kbb-separate", "fvi"])
+    def test_runs_match_the_reference_sampler(self, model, run, shared, monkeypatch):
+        cfg = RegressorConfig(kind="boosted_trees", n_trees=5, max_depth=2, min_leaf=20)
+        budget = algorithms.IterationBudget(n_per_iter=60, max_iters=3, first_iter_multiplier=3, shared_data=shared)
+        got = run(model, cfg, budget, seed=4, n_eval=300, eval_seed=9)
+        monkeypatch.setattr(envs, "transition_draws", lambda env, specs: (
+            envs.Dataset(*reference_arch(env, n, seed), DrawMode.BURN_IN_TRAJECTORY) for n, seed in specs))
+        want = run(model, cfg, budget, seed=4, n_eval=300, eval_seed=9)
+        assert got.initial_error == want.initial_error and got.meta == want.meta
+        assert [r.__dict__ | {"wall_ms": 0} for r in got.rows] == [r.__dict__ | {"wall_ms": 0} for r in want.rows]
 
 
 def hub_chain(n, density, zero_share, seed):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kbb.records import RunRecord, RunRow, load_run_csv, load_run_meta, save_run
+from kbb.records import RunRecord, RunRow, load_run_csv, load_run_meta, save_run, write_atomic
 
 
 def sample_record():
@@ -67,3 +67,25 @@ def test_failed_sidecar_write_leaves_earlier_files(tmp_path):
     # no partial .json, no .tmp file, and the earlier run is intact
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert load_run_meta(meta_path)["rejected_iters"] == [2]
+
+
+def test_writers_of_one_path_do_not_share_a_temp_file(tmp_path, monkeypatch):
+    # A second writer runs start to finish between the first writer's write
+    # and its rename; with a shared temp name the first rename would fail.
+    import os
+
+    target = tmp_path / "manifest.json"
+    replace = os.replace
+    interleaved = []
+
+    def replace_after_second_writer(src, dst):
+        if not interleaved:
+            interleaved.append(src)
+            write_atomic(target, "second\n")
+        replace(src, dst)
+
+    monkeypatch.setattr("kbb.records.os.replace", replace_after_second_writer)
+    write_atomic(target, "first\n")
+    assert target.read_text() == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert interleaved[0].name.startswith("manifest.json.") and interleaved[0].suffix == ".tmp"
