@@ -12,6 +12,12 @@ stable order of a node's rows is the node's subset of the global stable
 order, so the trees are those of a per-node stable argsort, bit for bit.
 ``best_split`` searches all of a node's features in one call.
 
+The root gathers its sorted values and targets once; each split takes its
+children's rows of the orders, values and targets with one mask, by flat
+position, so no node gathers them again.  A child at the depth limit, or
+with fewer than ``2 * min_leaf`` rows, is a leaf as soon as its parent
+splits: it is valued there and never stacked or partitioned.
+
 A fit allocates each node's two children next to each other, so the walk
 needs only ``right``: one step is ``right - (x <= threshold)``, and leaves
 loop to themselves behind NaN thresholds.  ``walk`` runs all trees of a
@@ -21,10 +27,11 @@ scores tables.
 
 A boosted ensemble is scored by QuickScorer (Lucchese et al., SIGIR 2015):
 ``bitmask_table`` builds, once per ensemble, one table of ANDed node masks
-per feature, and ``bitmask_values`` finds each row's exit leaf in every tree
-with one ``searchsorted`` per feature.  It is exact: it reaches the walk's
-leaf, with NaN rows going right and rows on a threshold going left.  Masks
-hold up to 64 leaves; an ensemble with a larger tree keeps the walk.
+per feature, with one row per distinct threshold, and ``bitmask_values``
+finds each row's exit leaf in every tree with one ``searchsorted`` per
+feature.  It is exact: it reaches the walk's leaf, with NaN rows going
+right and rows on a threshold going left.  Masks hold up to 64 leaves; an
+ensemble with a larger tree keeps the walk.
 """
 
 from __future__ import annotations
@@ -70,8 +77,14 @@ def best_split(sv: np.ndarray, sy: np.ndarray, min_leaf: int):
     lo, hi = min_leaf - 1, n - min_leaf  # cut c in [lo, hi) sends sorted rows 0..c left
     csum = np.cumsum(sy, axis=1)
     left_sum = csum[:, lo:hi]
-    n_left = np.arange(lo + 1, hi + 1)
-    score = left_sum**2 / n_left + (csum[:, -1:] - left_sum) ** 2 / (n - n_left)
+    # lo + 1 .. hi rows go left; the same counts reversed, n - n_left, go right.
+    n_left = np.arange(lo + 1.0, hi + 1)
+    score = np.square(left_sum)
+    score /= n_left
+    right_sum = csum[:, -1:] - left_sum
+    np.square(right_sum, out=right_sum)
+    right_sum /= n_left[::-1]
+    score += right_sum
     score[~(sv[:, lo:hi] < sv[:, lo + 1 : hi + 1])] = -np.inf
     # The first maximum in row-major order: lowest feature, then first cut.
     f, j = divmod(int(score.argmax()), hi - lo)
@@ -129,12 +142,13 @@ def bitmask_table(trees) -> tuple | None:
     Each tree's leaves are numbered left to right, and each internal node's
     mask clears the bits of the leaves of its left subtree.  A row leaves a
     tree at the lowest bit left set in the AND of the masks of the nodes it
-    fails (x > threshold).  For each feature, every tree's thresholds on it
-    are sorted stably, and row k of the feature's (thresholds + 1, trees)
-    prefix table holds, per tree, the AND of the masks of the k smallest.
-    Returns (a (feature, sorted thresholds, prefix table) triple per split
-    feature, the leaf values as a flat (trees, width) array, and each tree's
-    offset into it less one).
+    fails (x > threshold).  For each feature, the distinct thresholds of all
+    trees on it are sorted, and row k of the feature's (distinct thresholds
+    + 1, trees) prefix table holds, per tree, the AND of the masks of the
+    tree's nodes on the feature whose threshold is among the k smallest.
+    Returns (a (feature, sorted distinct thresholds, prefix table) triple per
+    split feature, the leaf values as a flat (trees, width) array, and each
+    tree's offset into it less one).
     """
     roots, feature, threshold, right, value, levels = _stacked(trees)
     tree_of = np.repeat(np.arange(len(trees)), [t.feature.shape[0] for t in trees])
@@ -162,10 +176,12 @@ def bitmask_table(trees) -> tuple | None:
     features = []
     for f in np.unique(feature[inner]).tolist():
         nodes = np.flatnonzero(feature[inner] == f)
-        nodes = nodes[np.argsort(threshold[inner[nodes]], kind="stable")]
-        prefix = np.full((nodes.shape[0] + 1, len(trees)), np.iinfo(dtype).max, dtype=dtype)
-        prefix[np.arange(1, nodes.shape[0] + 1), tree_of[inner[nodes]]] = mask[nodes]
-        features.append((f, threshold[inner[nodes]], np.bitwise_and.accumulate(prefix, axis=0)))
+        # Row k + 1 ANDs the masks at the k-th distinct threshold (a tree may
+        # cut twice at one threshold), and the accumulation ANDs the rows below.
+        thr, at = np.unique(threshold[inner[nodes]], return_inverse=True)
+        prefix = np.full((thr.shape[0] + 1, len(trees)), np.iinfo(dtype).max, dtype=dtype)
+        np.bitwise_and.at(prefix, (at + 1, tree_of[inner[nodes]]), mask[nodes])
+        features.append((f, thr, np.bitwise_and.accumulate(prefix, axis=0)))
     return features, leaf_value, np.arange(len(trees)) * width - 1
 
 
@@ -210,52 +226,71 @@ class RegressionTree:
         when given, which so ends up equal to ``predict(x)``."""
         if order is None:
             order = presort(x)
-        # Feature-major copy of x: a node's sorted values are one flat gather.
-        xt = np.ascontiguousarray(x.T).reshape(-1)
-        shift = (np.arange(x.shape[1]) * x.shape[0])[:, None]
+        n_features = x.shape[1]
+        # Feature-major copy of x: row f is column f, contiguous.
+        xcols = np.ascontiguousarray(x.T)
         row_left = np.empty(x.shape[0], dtype=bool)  # by row of x, at the split
         feature, threshold, left, right, value = [], [], [], [], []
 
-        def new_node():
+        def new_node(rows, depth):
+            """Append the node over ``rows`` and return its id and its target
+            sum, or None for the sum when the node is a leaf already: at the
+            depth limit, or with too few rows for two leaves."""
+            ysum = y[rows].sum()
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            value.append(0.0)
-            return len(feature) - 1
+            value.append(float(ysum / rows.shape[0]))
+            if depth < self.max_depth and rows.shape[0] >= 2 * self.min_leaf:
+                return len(feature) - 1, ysum
+            if out is not None:
+                out[rows] = value[-1]
+            return len(feature) - 1, None
 
-        # Depth-first build; explicit stack keeps node ids deterministic.
-        # ``rows`` stays in ascending index order; row f of ``orders`` holds
-        # the same rows sorted stably by feature f.
-        stack = [(new_node(), np.arange(x.shape[0]), order, 0)]
+        def part(keep, orders, sv, sy):
+            """One child's rows of a node's (features, n) sorted arrays, by
+            the flat positions of ``keep``: a flat ``take`` is several times
+            faster than a 2-D boolean mask."""
+            at = np.flatnonzero(keep)
+            return (orders.take(at).reshape(n_features, -1), sv.take(at).reshape(n_features, -1),
+                    sy.take(at).reshape(n_features, -1))
+
+        # Depth-first build; explicit stack keeps node ids deterministic.  A
+        # stacked node is one to be searched: ``rows`` in ascending index
+        # order, and per feature f its rows' ``orders``, values ``sv`` and
+        # targets ``sy``, all sorted stably by feature f.
+        rows = np.arange(x.shape[0])
+        root, ysum = new_node(rows, 0)
+        stack = []
+        if ysum is not None:
+            shift = (np.arange(n_features) * x.shape[0])[:, None]
+            stack.append((root, ysum, rows, 0, order, xcols.reshape(-1)[order + shift], y[order]))
         while stack:
-            node, rows, orders, depth = stack.pop()
-            n = rows.shape[0]
-            ysum = y[rows].sum()
-            value[node] = float(ysum / n)
-            best = None
-            if depth < self.max_depth and n >= 2 * self.min_leaf:
-                best = best_split(xt[orders + shift], y[orders], self.min_leaf)
-            if best is None or best[0] - float(ysum) ** 2 / n <= 0.0:
-                if out is not None:  # a leaf, possibly for want of an SSE reduction
+            node, ysum, rows, depth, orders, sv, sy = stack.pop()
+            best = best_split(sv, sy, self.min_leaf)
+            if best is None or best[0] - float(ysum) ** 2 / rows.shape[0] <= 0.0:
+                if out is not None:  # a leaf for want of an SSE reduction
                     out[rows] = value[node]
                 continue
             _, f, thr = best
-            go_left = x[rows, f] <= thr
+            go_left = xcols[f][rows] <= thr
             feature[node] = f
             threshold[node] = thr
-            left_id, right_id = new_node(), new_node()
+            left_rows, right_rows = rows.take(np.flatnonzero(go_left)), rows.take(np.flatnonzero(~go_left))
+            left_id, left_sum = new_node(left_rows, depth + 1)
+            right_id, right_sum = new_node(right_rows, depth + 1)
             left[node], right[node] = left_id, right_id
-            # Stable partition of every feature's order; children at the
-            # depth limit never split, so they get no orders.
-            left_orders = right_orders = None
-            if depth + 1 < self.max_depth:
-                row_left[rows] = go_left
-                to_left = row_left[orders]
-                left_orders = orders[to_left].reshape(orders.shape[0], -1)
-                right_orders = orders[~to_left].reshape(orders.shape[0], -1)
-            stack.append((right_id, rows[~go_left], right_orders, depth + 1))
-            stack.append((left_id, rows[go_left], left_orders, depth + 1))
+            if left_sum is None and right_sum is None:
+                continue
+            # Stable partition of every feature's sorted arrays, only for
+            # the children to be searched.
+            row_left[rows] = go_left
+            to_left = row_left[orders]
+            if right_sum is not None:
+                stack.append((right_id, right_sum, right_rows, depth + 1, *part(~to_left, orders, sv, sy)))
+            if left_sum is not None:
+                stack.append((left_id, left_sum, left_rows, depth + 1, *part(to_left, orders, sv, sy)))
 
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=np.float64)

@@ -311,6 +311,20 @@ class TestBitmaskScoring:
         assert (table is None) if dtype is None else table[0][0][2].dtype == dtype
         assert np.array_equal(f(x), f.base_value + f.learning_rate * reference_leaf_values(f.trees, x).sum(axis=1))
 
+    def test_one_prefix_row_per_distinct_threshold(self):
+        # Trees of an ensemble cut at midpoints of the same training values,
+        # so they share thresholds; each distinct one gets one row.
+        x = np.round(np.random.default_rng(6).normal(size=(400, 2)), 1)
+        f = fit((x, np.sin(2 * x[:, 0]) + x[:, 1]), RegressorConfig(n_trees=40, max_depth=4, min_leaf=5))
+        features, _, _ = bitmask_table(f.trees)
+        for feat, thr, prefix in features:
+            cuts = np.concatenate([t.threshold[t.feature == feat] for t in f.trees])
+            assert np.array_equal(thr, np.unique(cuts))
+            assert prefix.shape == (thr.shape[0] + 1, len(f.trees))
+            assert thr.shape[0] < cuts.shape[0]  # the repeats were merged
+        grid = scored_rows(f.trees, x, np.random.default_rng(7))
+        assert np.array_equal(bitmask_values(bitmask_table(f.trees), grid), reference_leaf_values(f.trees, grid))
+
     def test_unsplit_trees_reach_leaf_zero(self):
         x = np.arange(6.0).reshape(3, 2)
         trees = [RegressionTree(0, 1).fit(x, np.full(3, v)) for v in (1.5, -2.0)]
@@ -476,6 +490,72 @@ class TestPresortedTrees:
         grid = np.random.default_rng(11).normal(size=(5000, 3))
         values = hashlib.sha256(f(grid).tobytes()).hexdigest()
         assert values == "922fc0d818dc83ba70afe6e870c3fbb3d3e53a5fe501e6bbdd973cd160e2c5f5"
+
+
+class TestLeanGrowth:
+    """``fit`` carries each node's sorted arrays through the split and settles
+    children that cannot split at their parent; its trees are the reference's,
+    array by array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 8), st.integers(1, 3), st.booleans(),
+           st.sampled_from([1.0, 0.7]), st.integers(0, 2**32 - 1))
+    @example(0, 3, 2, False, 1.0, 0)  # the root alone
+    @example(1, 1, 1, True, 1.0, 1)  # both children at the depth limit
+    @example(6, 8, 3, True, 0.7, 2)
+    def test_matches_reference(self, max_depth, min_leaf, d, rounded, subsample, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))  # small nodes meet the 2 * min_leaf bound often
+        x = rng.normal(size=(n, d))
+        if rounded:  # ties
+            x = np.round(x, 1)
+        y = np.sin(2 * x[:, 0]) + x[:, -1] ** 2 + 0.1 * rng.normal(size=n)
+        out = np.full(n, np.nan)
+        tree = RegressionTree(max_depth, min_leaf).fit(x, y, out=out)
+        assert_same_tree(tree, reference_tree(x, y, max_depth, min_leaf))
+        assert np.array_equal(out, tree.predict(x))
+        cfg = RegressorConfig(n_trees=3, max_depth=max_depth, min_leaf=min_leaf, subsample=subsample)
+        f = fit((x, y), cfg, seed=seed)
+        rows, pred = np.arange(n), np.full(n, f.base_value)
+        draw = np.random.default_rng(seed)
+        for tree in f.trees:
+            if subsample < 1.0:
+                rows = np.sort(draw.permutation(n)[: max(1, int(round(subsample * n)))])
+            assert_same_tree(tree, reference_tree(x[rows], (y - pred)[rows], max_depth, min_leaf))
+            pred += cfg.learning_rate * tree.predict(x)
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3, 5])
+    @pytest.mark.parametrize("small_left", [True, False])
+    def test_children_at_the_size_bound(self, min_leaf, small_left):
+        # The root cuts its 4 * min_leaf - 1 rows into 2 * min_leaf - 1 and
+        # 2 * min_leaf: the smaller child is a leaf at once, the other is searched.
+        m = 2 * min_leaf
+        low = np.arange(m - 1) % 2 * 0.1  # one side of the cut, near 0
+        high = 10.0 + np.arange(m) // min_leaf  # the other, near 10, split in two
+        y = np.concatenate([low, high] if small_left else [high[::-1], low])
+        x = np.column_stack([np.arange(2 * m - 1.0), np.random.default_rng(min_leaf).normal(size=2 * m - 1)])
+        perm = np.random.default_rng(0).permutation(2 * m - 1)
+        x, y = x[perm], y[perm]
+        tree = RegressionTree(3, min_leaf).fit(x, y)
+        assert_same_tree(tree, reference_tree(x, y, 3, min_leaf))
+        small, big = (tree.left[0], tree.right[0])[:: 1 if small_left else -1]
+        assert tree.feature[small] == -1 and tree.feature[big] >= 0
+
+    def test_cut_whose_midpoint_rounds_to_the_upper_value(self):
+        # The midpoint of adjacent doubles a < b rounds to b, so x <= thr sends
+        # the b rows left although the cut counted them on the right; the
+        # children's sorted arrays must follow the rows, not the cut.
+        a, b = 1 + 2.0**-52, 1 + 2.0**-51
+        assert 0.5 * (a + b) == b
+        x0 = np.concatenate([[a] * 3, [b] * 2, np.arange(2.0, 8.0)])
+        y = np.concatenate([[0.0] * 3, [100.0] * 2, 100.0 + np.arange(6) % 2])
+        x = np.column_stack([x0, np.random.default_rng(4).normal(size=x0.shape[0])])
+        perm = np.random.default_rng(5).permutation(x0.shape[0])
+        x, y = x[perm], y[perm]
+        tree = RegressionTree(3, 3).fit(x, y)
+        assert_same_tree(tree, reference_tree(x, y, 3, 3))
+        assert tree.feature[0] == 0 and tree.threshold[0] == b
+        assert tree.feature[tree.left[0]] == -1 and tree.feature[tree.right[0]] >= 0
 
 
 class TestBoostedTrees:
